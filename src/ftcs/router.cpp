@@ -195,18 +195,9 @@ graph::VertexId GreedyRouter::search_one(graph::VertexId src,
   const auto edge_contracted = [this](graph::EdgeId e) {
     return contracted_edges_.test(e);
   };
-  if (!dir_opt_)
-    return detail::bidir_shortest_idle_path(
-        net_->g, src, dst, scratch_, stats_.vertices_visited, is_busy,
-        edge_blocked, edge_contracted, contraction);
-  detail::DirStats dir;
-  const graph::VertexId meet = detail::bidir_shortest_idle_path_diropt(
-      net_->g, src, dst, scratch_, stats_.vertices_visited, dir, is_busy,
+  return detail::bidir_shortest_idle_path(
+      net_->g, src, dst, scratch_, stats_.vertices_visited, is_busy,
       edge_blocked, edge_contracted, contraction);
-  stats_.bottom_up_levels += dir.bottom_up_levels;
-  stats_.visits_forward += dir.visits_forward;
-  stats_.visits_backward += dir.visits_backward;
-  return meet;
 }
 
 GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) {
@@ -406,19 +397,15 @@ void GreedyRouter::connect_wave(WaveItem* items, std::size_t n) {
       wave_total_.resize(m);
       const bool edge_faults = !blocked_edges_.empty();
       const bool contraction = contracted_count_ > 0;
-      detail::DirStats dir;
       detail::wave_search(
           net_->g, wave_src_.data(), wave_dst_.data(), m, scratch_,
-          wave_meet_.data(), wave_total_.data(), stats_.vertices_visited, dir,
+          wave_meet_.data(), wave_total_.data(), stats_.vertices_visited,
           [this](graph::VertexId v) { return busy_.test(v); },
           [this, edge_faults](graph::EdgeId e) {
             return edge_faults && blocked_edges_.test(e);
           },
           [this](graph::EdgeId e) { return contracted_edges_.test(e); },
-          contraction, dir_opt_);
-      stats_.bottom_up_levels += dir.bottom_up_levels;
-      stats_.visits_forward += dir.visits_forward;
-      stats_.visits_backward += dir.visits_backward;
+          contraction);
     }
 
     // Phase 2 — settle in window order. A meetless wave entry is demoted

@@ -61,15 +61,10 @@ struct RouterStats {
   std::uint64_t overlay_conflicts = 0;    // settled path crossed a switch that
                                           // failed during the search (released
                                           // and re-searched, like a claim loss)
-  // Wave / direction-optimizing counters (attribute the machinery's wins
-  // directly instead of inferring them from visit totals):
   std::uint64_t wave_epochs = 0;      // multi-source waves run (connect_wave)
-  std::uint64_t bottom_up_levels = 0; // BFS levels expanded by bottom-up sweep
-  std::uint64_t visits_forward = 0;   // stamps by the forward frontier
-  std::uint64_t visits_backward = 0;  // stamps by the backward frontier
-                                      // (per-direction split only recorded by
-                                      // the dir-opt/wave searches; the
-                                      // baseline search leaves both at 0)
+  std::uint64_t bottom_up_levels = 0; // always 0 (the search has no
+                                      // bottom-up mode); kept for the
+                                      // benchmark's per-layer schema
 
   RouterStats& operator+=(const RouterStats& o) noexcept {
     connect_calls += o.connect_calls;
@@ -85,8 +80,6 @@ struct RouterStats {
     overlay_conflicts += o.overlay_conflicts;
     wave_epochs += o.wave_epochs;
     bottom_up_levels += o.bottom_up_levels;
-    visits_forward += o.visits_forward;
-    visits_backward += o.visits_backward;
     return *this;
   }
 
@@ -105,8 +98,6 @@ struct RouterStats {
     overlay_conflicts -= o.overlay_conflicts;
     wave_epochs -= o.wave_epochs;
     bottom_up_levels -= o.bottom_up_levels;
-    visits_forward -= o.visits_forward;
-    visits_backward -= o.visits_backward;
     return *this;
   }
 };
@@ -166,11 +157,6 @@ class GreedyRouter {
   ///     is final (kNoPath on a dead search, like connect()).
   /// Counts one wave_epochs per wave. Allocation-free after construction.
   void connect_wave(WaveItem* items, std::size_t n);
-
-  /// Toggles the direction-optimizing frontier (default ON). The OFF path
-  /// dispatches to the unmodified PR 2 search body for A/B comparison.
-  void set_direction_optimize(bool on) noexcept { dir_opt_ = on; }
-  [[nodiscard]] bool direction_optimize() const noexcept { return dir_opt_; }
 
   /// Releases a call and frees its path. Allocation-free.
   void disconnect(CallId call);
@@ -275,7 +261,7 @@ class GreedyRouter {
 
   /// Sizes the overlay bitsets on the first fault event (off the hot path).
   void ensure_overlay();
-  /// Runs the single-pair search (dir-opt dispatched) and merges DirStats.
+  /// Runs the shared single-pair search against this router's state.
   [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
                                            graph::VertexId dst);
   /// Threads `path` (src..dst order, already all-idle) through the
@@ -309,7 +295,6 @@ class GreedyRouter {
   std::vector<CallId> free_slots_; // capacity reserved likewise
   std::size_t active_ = 0;
   std::size_t busy_count_ = 0;
-  bool dir_opt_ = true;  // direction-optimizing frontier (A/B dispatch)
   RouterStats stats_;
 
   // connect_wave scratch, reserved at construction (window <= call bound):

@@ -27,58 +27,37 @@
 // pre-contraction hot path (measured: the runtime-flag version cost ~15%
 // on the greedy churn; this one is noise-level).
 //
-// Search invariants (unchanged from the PR 1 router):
+// Search invariants:
 //   - forward frontier expands out-edges from src, backward in-edges from
 //     dst, always the smaller frontier first;
 //   - a stamped-but-busy vertex gets no parent and never counts as a
 //     meeting point, so every recorded meet lies on a fully idle path;
+//   - best_meet only changes on a STRICT improvement of best_total, so the
+//     first meet of the smallest total wins;
 //   - termination: once best_total <= df + db + 1, every strictly shorter
 //     path would already have produced a meet, so the best one is final.
+// Early exit (contraction-free searches only): the search returns as soon
+// as best_total <= df + db + 1 after a frontier vertex is expanded, instead
+// of finishing the level. This is exact. With unit-cost hops, a level that
+// starts without a meet can only produce meets of total exactly
+// df + db + 1: an idle path of length <= df + db crosses a vertex within
+// df of src and db of dst, which both sides stamped before the level
+// began, so that vertex would already be a meet.
+// So no later meet in the same level can strictly improve on the first
+// one, and the returned meet — hence the settled path, whose parent chains
+// were fixed when their vertices were stamped — is the one the full-level
+// search returns. Only the visit count drops. On the leveled 𝒩̂, where
+// every input->output path has the same length, this skips the rest of
+// the meeting level on every accepted call.
+//
 // With contracted edges the returned path is always a REAL idle path, but
 // not necessarily a globally shortest one under the 0-1 metric: a vertex
 // first stamped at level d+1 through a normal switch is not re-stamped when
 // a later free hop would have reached it at level d (the epoch stamps admit
-// one discovery per vertex). Reachability — the property the offline
-// contraction equivalence pins — is exact; on contraction-free networks the
-// search is bit-identical to the PR 1/PR 2 behaviour.
-//
-// DIRECTION-OPTIMIZING VARIANT (bidir_shortest_idle_path_diropt): the
-// leveled Cantor/Beneš topologies explode the mid-search frontier, and a
-// top-down level pass then scans every edge hanging off the frontier. The
-// direction-optimizing variant keeps the exact control flow of the baseline
-// search but decides per level, per direction, whether to expand TOP-DOWN
-// (scan the frontier's out-edges, the baseline) or BOTTOM-UP (mark the
-// frontier in a util::Bitset and sweep every still-unstamped vertex,
-// probing its in-edges for a frontier source with early exit — the GAPBS
-// trick).
-//   Heuristic: expand level bottom-up when
-//       frontier_edges * kBottomUpAlpha > unvisited_vertices * avg_degree,
-//   evaluated LAZILY at each level's start: a frontier_size * max_degree
-//   upper bound screens the level first, and only when that bound could
-//   trigger is the exact degree sum taken over the level's queue segment
-//   (the bound is conservative, so the decision is identical to tracking
-//   frontier edges per push — without the per-push degree load that made
-//   the hot visit loop ~20% slower than the baseline). The test
-//   re-evaluates every level, so the search falls back to top-down as soon
-//   as the frontier thins (the classic top-down -> bottom-up -> top-down
-//   trajectory).
-//   Interaction with dirty snapshots: a bottom-up level calls the SAME
-//   is_busy/edge_blocked/edge_contracted predicates — relaxed (dirty)
-//   overlay reads remain exactly as re-validatable as top-down ones, and
-//   both sweep directions stamp the SAME vertex set per level (every
-//   frontier-adjacent vertex), so busy/overlay races cost retries, never
-//   correctness, identically in either mode.
-//   Interaction with 0-1 weld levels: bottom-up discoveries over a
-//   contracted switch (probed forward along in-edges AND against the edge
-//   direction via contracted out-edges) are still free hops — they go to
-//   the zero stack and are drained top-down within the current level after
-//   the sweep, preserving the 0-1 discipline. One caveat: when a vertex is
-//   reachable in the same level both through a normal and a contracted
-//   switch, the two sweep orders may assign it a different cost label
-//   (first-discovery-wins differs), so under live welds the variants can
-//   return different — but equally valid — paths; with no welds the
-//   admitted/rejected verdicts and path lengths are provably identical
-//   (same stamp sets, same per-level meet candidates).
+// one discovery per vertex). The same free hops can give a later meet of
+// the level a strictly smaller total, so a search with live welds always
+// finishes the level (no early exit). Reachability — the property the
+// offline contraction equivalence pins — is exact.
 //
 // WAVE SEARCH (wave_search): routes a whole admission window as ONE
 // level-synchronized multi-source sweep. Every request seeds its input into
@@ -96,12 +75,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
-#include "util/bitset.hpp"
 
 namespace ftcs::core::detail {
 
@@ -115,7 +92,6 @@ struct SearchScratch {
   std::vector<graph::VertexId> queue_f, queue_b;  // frontier rings
   std::vector<graph::VertexId> zero_f, zero_b;  // free-hop (contracted) stacks
   std::vector<std::uint32_t> label_f, label_b;  // wave: request per stamp
-  util::Bitset front_f, front_b;  // dir-opt: current-level frontier bitmaps
   std::uint32_t epoch = 0;
 
   void init(std::size_t v_count) {
@@ -131,24 +107,9 @@ struct SearchScratch {
     zero_b.resize(v_count);
     label_f.resize(v_count);
     label_b.resize(v_count);
-    front_f.resize(v_count);
-    front_b.resize(v_count);
     epoch = 0;
   }
 };
-
-/// Per-search counters of the direction-optimizing machinery, merged by the
-/// routers into RouterStats (kept separate so search.hpp needs no router
-/// include). The baseline bidir_shortest_idle_path never touches these.
-struct DirStats {
-  std::uint64_t bottom_up_levels = 0;  // levels expanded by bottom-up sweep
-  std::uint64_t visits_forward = 0;    // stamps by the forward frontier
-  std::uint64_t visits_backward = 0;   // stamps by the backward frontier
-};
-
-/// Bottom-up switch threshold: expand a level bottom-up when
-/// frontier_edges * kBottomUpAlpha > unvisited_vertices * avg_degree.
-inline constexpr std::uint64_t kBottomUpAlpha = 4;
 
 /// The search body; kContraction selects the stuck-on machinery at compile
 /// time. Use the bidir_shortest_idle_path dispatchers below.
@@ -255,6 +216,8 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
               continue;
             visit_f(rsrcs[i], u, true);
           }
+        } else if (best_total <= df + db + 1) {
+          return best_meet;  // final: see "Early exit" in the header
         }
       }
       flevel = next_level;
@@ -317,6 +280,8 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
               continue;
             visit_b(rtgts[i], u, true);
           }
+        } else if (best_total <= df + db + 1) {
+          return best_meet;  // final: see "Early exit" in the header
         }
       }
       blevel = next_level;
@@ -331,8 +296,9 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
 /// exists. `is_busy(v)` and `edge_blocked(e)` gate expansion;
 /// `edge_contracted(e)` marks stuck-on switches crossed as free hops (both
 /// directions). `contraction_live` selects the instantiation: false runs
-/// the exact pre-contraction hot path. `visited` accumulates stamped
-/// vertices for RouterStats. Allocation-free.
+/// the weld-free body, which returns at its first final meet (header,
+/// "Early exit"). `visited` accumulates stamped vertices for RouterStats.
+/// Allocation-free.
 template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
 [[nodiscard]] graph::VertexId bidir_shortest_idle_path(
     const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
@@ -364,382 +330,26 @@ template <class BusyFn, class EdgeBlockedFn>
 }
 
 // ---------------------------------------------------------------------------
-// Direction-optimizing single-pair search. Same control flow as
-// bidir_shortest_idle_path_impl — same level loop, same termination, same
-// smaller-frontier-first — but each level picks top-down or bottom-up
-// expansion per the header heuristic. Kept as a SEPARATE body so the
-// baseline stays instruction-comparable with PR 2 when the dir-opt dispatch
-// is off.
-// ---------------------------------------------------------------------------
-
-template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn>
-[[nodiscard]] graph::VertexId bidir_shortest_idle_path_diropt_impl(
-    const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
-    SearchScratch& s, std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
-    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted) {
-  if (++s.epoch == 0) {  // epoch wrap: one bulk clear per 2^32 searches
-    std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
-    std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
-    s.epoch = 1;
-  }
-  if (src == dst) {
-    s.epoch_f[src] = s.epoch;
-    s.parent_f[src] = graph::kNoVertex;
-    s.dist_f[src] = 0;
-    return dst;
-  }
-
-  const std::size_t v_count = g.vertex_count();
-  const auto e_count = static_cast<std::uint64_t>(g.edge_count());
-  graph::VertexId best_meet = graph::kNoVertex;
-  std::uint32_t best_total = graph::kNoVertex;  // path length in edges
-  s.epoch_f[src] = s.epoch;
-  s.parent_f[src] = graph::kNoVertex;
-  s.dist_f[src] = 0;
-  s.epoch_b[dst] = s.epoch;
-  s.parent_b[dst] = graph::kNoVertex;
-  s.dist_b[dst] = 0;
-  std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
-  s.queue_f[ft++] = src;
-  s.queue_b[bt++] = dst;
-  std::size_t flevel = 1, blevel = 1;  // vertices in the current frontier
-  std::uint32_t df = 0, db = 0;        // distance of those frontiers
-  // Direction-switch bookkeeping: stamps per side (the unvisited estimate).
-  // Frontier edge counts are NOT tracked per push — the level test below
-  // screens with flevel * max_degree first and only then sums degrees, so
-  // the top-down visit loop stays instruction-identical to the baseline
-  // (a per-push degree load alone cost ~20% on the greedy churn).
-  std::uint64_t stamped_f = 1, stamped_b = 1;
-  const auto max_out = static_cast<std::uint64_t>(g.max_out_degree());
-  const auto max_in = static_cast<std::uint64_t>(g.max_in_degree());
-
-  while (flevel > 0 && blevel > 0 && best_total > df + db + 1) {
-    if (flevel <= blevel) {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;  // top of the free-hop stack (current level)
-      const auto visit_f = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_f[v] == s.epoch) return;
-        s.epoch_f[v] = s.epoch;
-        ++stamped_f;
-        if (is_busy(v)) {
-          s.parent_f[v] = graph::kNoVertex;  // see the baseline's note
-          return;
-        }
-        s.parent_f[v] = u;
-        const std::uint32_t dv = free ? df : df + 1;
-        s.dist_f[v] = dv;
-        if (s.epoch_b[v] == s.epoch && s.parent_b[v] != graph::kNoVertex) {
-          const std::uint32_t total = dv + s.dist_b[v];
-          if (total < best_total) {
-            best_total = total;
-            best_meet = v;
-          }
-          return;  // expanding a meet can never improve on it
-        }
-        if (v == dst) {  // dst seeded backward with parent kNoVertex
-          if (dv < best_total) {
-            best_total = dv;
-            best_meet = v;
-          }
-          return;
-        }
-        if (kContraction && free) {
-          s.zero_f[zt++] = v;  // same level: expand before the level ends
-        } else {
-          s.queue_f[ft++] = v;
-          ++next_level;
-        }
-      };
-      const auto expand_f = [&](graph::VertexId u) {
-        const auto eids = g.out_edges(u);
-        const auto tgts = g.out_targets(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_f(tgts[i], u, kContraction && edge_contracted(eids[i]));
-        }
-        if constexpr (kContraction) {
-          // A stuck-on switch conducts both ways: a contracted in-edge
-          // w->u is a free hop u->w (traversed against the edge direction).
-          const auto reids = g.in_edges(u);
-          const auto rsrcs = g.in_sources(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_f(rsrcs[i], u, true);
-          }
-        }
-      };
-      // Lazy header test: the frontier's edge count is bounded by
-      // flevel * max_out, so when the bound can't trigger (the common
-      // case) no degrees are read at all; otherwise one degree sum over
-      // the level's queue segment decides exactly as the tracked count
-      // would (the bound is conservative, never changing the decision).
-      const std::uint64_t unvisited_scaled =
-          (static_cast<std::uint64_t>(v_count) - stamped_f) * e_count;
-      bool bottom_up = false;
-      if (static_cast<std::uint64_t>(flevel) * max_out * kBottomUpAlpha *
-              static_cast<std::uint64_t>(v_count) >
-          unvisited_scaled) {
-        std::uint64_t fedges = 0;
-        for (std::size_t i = 0; i < flevel; ++i)
-          fedges += g.out_degree(s.queue_f[fh + i]);
-        bottom_up =
-            fedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled;
-      }
-      if (!bottom_up) {
-        std::size_t n = 0;
-        for (;;) {
-          graph::VertexId u;
-          if (n < flevel) {
-            u = s.queue_f[fh++];
-            ++n;
-          } else if (kContraction && zt > 0) {
-            u = s.zero_f[--zt];
-          } else {
-            break;
-          }
-          expand_f(u);
-        }
-      } else {
-        ++dir.bottom_up_levels;
-        // Mark the level's frontier in the bitmap, then sweep every
-        // still-unstamped vertex probing its in-edges for a frontier source
-        // (early exit on the first usable one).
-        for (std::size_t i = 0; i < flevel; ++i)
-          s.front_f.set(s.queue_f[fh + i]);
-        for (std::size_t vi = 0; vi < v_count; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          if (s.epoch_f[v] == s.epoch) continue;
-          const auto eids = g.in_edges(v);
-          const auto srcs = g.in_sources(v);
-          graph::VertexId from = graph::kNoVertex;
-          bool free = false;
-          for (std::size_t k = 0; k < eids.size(); ++k) {
-            if (!s.front_f.test(srcs[k])) continue;
-            if (edge_blocked(eids[k])) continue;
-            from = srcs[k];
-            free = kContraction && edge_contracted(eids[k]);
-            break;
-          }
-          if constexpr (kContraction) {
-            if (from == graph::kNoVertex) {
-              // Reverse conduction, bottom-up view: a contracted out-edge
-              // v->w with w in the frontier carries the hop w->v for free.
-              const auto oids = g.out_edges(v);
-              const auto otgts = g.out_targets(v);
-              for (std::size_t k = 0; k < oids.size(); ++k) {
-                if (!s.front_f.test(otgts[k])) continue;
-                if (!edge_contracted(oids[k]) || edge_blocked(oids[k]))
-                  continue;
-                from = otgts[k];
-                free = true;
-                break;
-              }
-            }
-          }
-          if (from != graph::kNoVertex) visit_f(v, from, free);
-        }
-        for (std::size_t i = 0; i < flevel; ++i)
-          s.front_f.reset(s.queue_f[fh + i]);
-        fh += flevel;
-        if constexpr (kContraction) {
-          // Free-hop closure: zero-cost discoveries expand within the
-          // current level, top-down off the stack (the 0-1 discipline is
-          // sweep-direction independent).
-          while (zt > 0) expand_f(s.zero_f[--zt]);
-        }
-      }
-      flevel = next_level;
-      ++df;
-    } else {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;
-      const auto visit_b = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_b[v] == s.epoch) return;
-        s.epoch_b[v] = s.epoch;
-        ++stamped_b;
-        if (is_busy(v)) {  // src/dst rejected upfront if busy
-          s.parent_b[v] = graph::kNoVertex;
-          return;
-        }
-        s.parent_b[v] = u;
-        const std::uint32_t dv = free ? db : db + 1;
-        s.dist_b[v] = dv;
-        if (s.epoch_f[v] == s.epoch &&
-            (s.parent_f[v] != graph::kNoVertex || v == src)) {
-          const std::uint32_t total = s.dist_f[v] + dv;
-          if (total < best_total) {
-            best_total = total;
-            best_meet = v;
-          }
-          return;
-        }
-        if (kContraction && free) {
-          s.zero_b[zt++] = v;
-        } else {
-          s.queue_b[bt++] = v;
-          ++next_level;
-        }
-      };
-      const auto expand_b = [&](graph::VertexId u) {
-        const auto eids = g.in_edges(u);
-        const auto srcs = g.in_sources(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_b(srcs[i], u, kContraction && edge_contracted(eids[i]));
-        }
-        if constexpr (kContraction) {
-          // Reverse conduction: a contracted out-edge u->w means the path
-          // segment w -> u is carried by the welded switch for free.
-          const auto reids = g.out_edges(u);
-          const auto rtgts = g.out_targets(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_b(rtgts[i], u, true);
-          }
-        }
-      };
-      // Backward mirror of the lazy header test, over in-degrees.
-      const std::uint64_t unvisited_scaled =
-          (static_cast<std::uint64_t>(v_count) - stamped_b) * e_count;
-      bool bottom_up = false;
-      if (static_cast<std::uint64_t>(blevel) * max_in * kBottomUpAlpha *
-              static_cast<std::uint64_t>(v_count) >
-          unvisited_scaled) {
-        std::uint64_t bedges = 0;
-        for (std::size_t i = 0; i < blevel; ++i)
-          bedges += g.in_degree(s.queue_b[bh + i]);
-        bottom_up =
-            bedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled;
-      }
-      if (!bottom_up) {
-        std::size_t n = 0;
-        for (;;) {
-          graph::VertexId u;
-          if (n < blevel) {
-            u = s.queue_b[bh++];
-            ++n;
-          } else if (kContraction && zt > 0) {
-            u = s.zero_b[--zt];
-          } else {
-            break;
-          }
-          expand_b(u);
-        }
-      } else {
-        ++dir.bottom_up_levels;
-        // Backward mirror of the sweep: the backward frontier expands
-        // in-edges, so an unstamped v is discovered when one of its
-        // OUT-edges points into the frontier.
-        for (std::size_t i = 0; i < blevel; ++i)
-          s.front_b.set(s.queue_b[bh + i]);
-        for (std::size_t vi = 0; vi < v_count; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          if (s.epoch_b[v] == s.epoch) continue;
-          const auto eids = g.out_edges(v);
-          const auto tgts = g.out_targets(v);
-          graph::VertexId from = graph::kNoVertex;
-          bool free = false;
-          for (std::size_t k = 0; k < eids.size(); ++k) {
-            if (!s.front_b.test(tgts[k])) continue;
-            if (edge_blocked(eids[k])) continue;
-            from = tgts[k];
-            free = kContraction && edge_contracted(eids[k]);
-            break;
-          }
-          if constexpr (kContraction) {
-            if (from == graph::kNoVertex) {
-              // Reverse conduction, bottom-up view: a contracted in-edge
-              // w->v with w in the backward frontier carries w -> v, i.e.
-              // the backward step v <- w, for free.
-              const auto iids = g.in_edges(v);
-              const auto isrcs = g.in_sources(v);
-              for (std::size_t k = 0; k < iids.size(); ++k) {
-                if (!s.front_b.test(isrcs[k])) continue;
-                if (!edge_contracted(iids[k]) || edge_blocked(iids[k]))
-                  continue;
-                from = isrcs[k];
-                free = true;
-                break;
-              }
-            }
-          }
-          if (from != graph::kNoVertex) visit_b(v, from, free);
-        }
-        for (std::size_t i = 0; i < blevel; ++i)
-          s.front_b.reset(s.queue_b[bh + i]);
-        bh += blevel;
-        if constexpr (kContraction) {
-          while (zt > 0) expand_b(s.zero_b[--zt]);
-        }
-      }
-      blevel = next_level;
-      ++db;
-    }
-  }
-  // Visit counters are derived from the stamp counts AFTER the search (one
-  // seed per side never counts, matching the baseline) so the visit loops
-  // carry no per-stamp counter traffic.
-  visited += (stamped_f - 1) + (stamped_b - 1);
-  dir.visits_forward += stamped_f - 1;
-  dir.visits_backward += stamped_b - 1;
-  return best_meet;
-}
-
-/// Direction-optimizing dispatcher: same contract as
-/// bidir_shortest_idle_path, plus DirStats accumulation.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
-[[nodiscard]] graph::VertexId bidir_shortest_idle_path_diropt(
-    const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
-    SearchScratch& s, std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
-    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
-    bool contraction_live) {
-  if (contraction_live)
-    return bidir_shortest_idle_path_diropt_impl<true>(
-        g, src, dst, s, visited, dir, static_cast<BusyFn&&>(is_busy),
-        static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted));
-  return bidir_shortest_idle_path_diropt_impl<false>(
-      g, src, dst, s, visited, dir, static_cast<BusyFn&&>(is_busy),
-      static_cast<EdgeBlockedFn&&>(edge_blocked),
-      static_cast<EdgeContractedFn&&>(edge_contracted));
-}
-
-// ---------------------------------------------------------------------------
 // Multi-source wave search (see the header comment). One call explores the
 // graph ONCE for a whole window of requests; per-request results come back
 // in meets[] / totals[] and the parent chains in the scratch, labelled so
 // each request's chains stay inside its own tree.
 // ---------------------------------------------------------------------------
 
-template <bool kContraction, bool kDirOpt, class BusyFn, class EdgeBlockedFn,
+template <bool kContraction, class BusyFn, class EdgeBlockedFn,
           class EdgeContractedFn>
 void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
                       const graph::VertexId* dsts, std::size_t n,
                       SearchScratch& s, graph::VertexId* meets,
                       std::uint32_t* totals, std::uint64_t& visited,
-                      DirStats& dir, BusyFn&& is_busy,
-                      EdgeBlockedFn&& edge_blocked,
+                      BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
                       EdgeContractedFn&& edge_contracted) {
   if (++s.epoch == 0) {
     std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
     std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
     s.epoch = 1;
   }
-  const std::size_t v_count = g.vertex_count();
-  const auto e_count = static_cast<std::uint64_t>(g.edge_count());
-  [[maybe_unused]] const auto max_out =
-      static_cast<std::uint64_t>(g.max_out_degree());
-  [[maybe_unused]] const auto max_in =
-      static_cast<std::uint64_t>(g.max_in_degree());
   std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
-  std::uint64_t stamped_f = 0, stamped_b = 0;
   std::size_t resolved = 0;  // requests whose best meet can no longer improve
 
   for (std::size_t r = 0; r < n; ++r) {
@@ -761,13 +371,13 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
     // Routers admit at most one request per terminal slot into a wave, so
     // same-side seed clashes need two slots sharing a vertex — tolerated
     // defensively: the loser stays unseeded and the caller demotes it.
+    // Seeds never count as visits (matching the single search).
     if (s.epoch_f[src] != s.epoch) {
       s.epoch_f[src] = s.epoch;
       s.parent_f[src] = graph::kNoVertex;
       s.dist_f[src] = 0;
       s.label_f[src] = static_cast<std::uint32_t>(r);
       s.queue_f[ft++] = src;
-      ++stamped_f;
     }
     if (s.epoch_b[dst] != s.epoch) {
       s.epoch_b[dst] = s.epoch;
@@ -775,19 +385,16 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
       s.dist_b[dst] = 0;
       s.label_b[dst] = static_cast<std::uint32_t>(r);
       s.queue_b[bt++] = dst;
-      ++stamped_b;
     }
   }
-  // Seeds never count as visits (matching the single search); the visit
-  // counters are derived from the stamp counts at the end of the wave.
-  const std::uint64_t seeded_f = stamped_f, seeded_b = stamped_b;
 
   std::size_t flevel = ft, blevel = bt;
   std::uint32_t df = 0, db = 0;
   // Per-request termination is the single search's rule; the WAVE ends when
   // every request is final or both frontiers die. Either side dying alone
   // proves nothing per request (labels compete for vertices), so leftover
-  // requests are demoted by the caller, not rejected.
+  // requests are demoted by the caller, not rejected. There is no early
+  // exit: a window's requests finalize at different levels.
   while (resolved < n && (flevel > 0 || blevel > 0)) {
     const bool forward = blevel == 0 || (flevel > 0 && flevel <= blevel);
     if (forward) {
@@ -797,7 +404,7 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
                                bool free) {
         if (s.epoch_f[v] == s.epoch) return;
         s.epoch_f[v] = s.epoch;
-        ++stamped_f;
+        ++visited;
         if (is_busy(v)) {
           s.parent_f[v] = graph::kNoVertex;
           return;
@@ -823,7 +430,17 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
           ++next_level;
         }
       };
-      const auto expand_f = [&](graph::VertexId u) {
+      std::size_t cnt = 0;
+      for (;;) {
+        graph::VertexId u;
+        if (cnt < flevel) {
+          u = s.queue_f[fh++];
+          ++cnt;
+        } else if (kContraction && zt > 0) {
+          u = s.zero_f[--zt];
+        } else {
+          break;
+        }
         const auto eids = g.out_edges(u);
         const auto tgts = g.out_targets(u);
         for (std::size_t i = 0; i < eids.size(); ++i) {
@@ -839,79 +456,6 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
             visit_f(rsrcs[i], u, true);
           }
         }
-      };
-      bool bottom_up = false;
-      if constexpr (kDirOpt) {
-        // Same lazy header test as the single-pair body: screen with the
-        // flevel * max_out bound, sum exact degrees only when it could
-        // trigger.
-        const std::uint64_t unvisited_scaled =
-            (static_cast<std::uint64_t>(v_count) - stamped_f) * e_count;
-        if (static_cast<std::uint64_t>(flevel) * max_out * kBottomUpAlpha *
-                static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled) {
-          std::uint64_t fedges = 0;
-          for (std::size_t i = 0; i < flevel; ++i)
-            fedges += g.out_degree(s.queue_f[fh + i]);
-          bottom_up =
-              fedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-              unvisited_scaled;
-        }
-      }
-      if (!bottom_up) {
-        std::size_t cnt = 0;
-        for (;;) {
-          graph::VertexId u;
-          if (cnt < flevel) {
-            u = s.queue_f[fh++];
-            ++cnt;
-          } else if (kContraction && zt > 0) {
-            u = s.zero_f[--zt];
-          } else {
-            break;
-          }
-          expand_f(u);
-        }
-      } else {
-        ++dir.bottom_up_levels;
-        for (std::size_t i = 0; i < flevel; ++i)
-          s.front_f.set(s.queue_f[fh + i]);
-        for (std::size_t vi = 0; vi < v_count; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          if (s.epoch_f[v] == s.epoch) continue;
-          const auto eids = g.in_edges(v);
-          const auto vsrcs = g.in_sources(v);
-          graph::VertexId from = graph::kNoVertex;
-          bool free = false;
-          for (std::size_t k = 0; k < eids.size(); ++k) {
-            if (!s.front_f.test(vsrcs[k])) continue;
-            if (edge_blocked(eids[k])) continue;
-            from = vsrcs[k];
-            free = kContraction && edge_contracted(eids[k]);
-            break;
-          }
-          if constexpr (kContraction) {
-            if (from == graph::kNoVertex) {
-              const auto oids = g.out_edges(v);
-              const auto otgts = g.out_targets(v);
-              for (std::size_t k = 0; k < oids.size(); ++k) {
-                if (!s.front_f.test(otgts[k])) continue;
-                if (!edge_contracted(oids[k]) || edge_blocked(oids[k]))
-                  continue;
-                from = otgts[k];
-                free = true;
-                break;
-              }
-            }
-          }
-          if (from != graph::kNoVertex) visit_f(v, from, free);
-        }
-        for (std::size_t i = 0; i < flevel; ++i)
-          s.front_f.reset(s.queue_f[fh + i]);
-        fh += flevel;
-        if constexpr (kContraction) {
-          while (zt > 0) expand_f(s.zero_f[--zt]);
-        }
       }
       flevel = next_level;
       ++df;
@@ -922,7 +466,7 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
                                bool free) {
         if (s.epoch_b[v] == s.epoch) return;
         s.epoch_b[v] = s.epoch;
-        ++stamped_b;
+        ++visited;
         if (is_busy(v)) {
           s.parent_b[v] = graph::kNoVertex;
           return;
@@ -948,7 +492,17 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
           ++next_level;
         }
       };
-      const auto expand_b = [&](graph::VertexId u) {
+      std::size_t cnt = 0;
+      for (;;) {
+        graph::VertexId u;
+        if (cnt < blevel) {
+          u = s.queue_b[bh++];
+          ++cnt;
+        } else if (kContraction && zt > 0) {
+          u = s.zero_b[--zt];
+        } else {
+          break;
+        }
         const auto eids = g.in_edges(u);
         const auto usrcs = g.in_sources(u);
         for (std::size_t i = 0; i < eids.size(); ++i) {
@@ -964,77 +518,6 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
             visit_b(rtgts[i], u, true);
           }
         }
-      };
-      bool bottom_up = false;
-      if constexpr (kDirOpt) {
-        // Backward mirror of the lazy header test, over in-degrees.
-        const std::uint64_t unvisited_scaled =
-            (static_cast<std::uint64_t>(v_count) - stamped_b) * e_count;
-        if (static_cast<std::uint64_t>(blevel) * max_in * kBottomUpAlpha *
-                static_cast<std::uint64_t>(v_count) >
-            unvisited_scaled) {
-          std::uint64_t bedges = 0;
-          for (std::size_t i = 0; i < blevel; ++i)
-            bedges += g.in_degree(s.queue_b[bh + i]);
-          bottom_up =
-              bedges * kBottomUpAlpha * static_cast<std::uint64_t>(v_count) >
-              unvisited_scaled;
-        }
-      }
-      if (!bottom_up) {
-        std::size_t cnt = 0;
-        for (;;) {
-          graph::VertexId u;
-          if (cnt < blevel) {
-            u = s.queue_b[bh++];
-            ++cnt;
-          } else if (kContraction && zt > 0) {
-            u = s.zero_b[--zt];
-          } else {
-            break;
-          }
-          expand_b(u);
-        }
-      } else {
-        ++dir.bottom_up_levels;
-        for (std::size_t i = 0; i < blevel; ++i)
-          s.front_b.set(s.queue_b[bh + i]);
-        for (std::size_t vi = 0; vi < v_count; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          if (s.epoch_b[v] == s.epoch) continue;
-          const auto eids = g.out_edges(v);
-          const auto vtgts = g.out_targets(v);
-          graph::VertexId from = graph::kNoVertex;
-          bool free = false;
-          for (std::size_t k = 0; k < eids.size(); ++k) {
-            if (!s.front_b.test(vtgts[k])) continue;
-            if (edge_blocked(eids[k])) continue;
-            from = vtgts[k];
-            free = kContraction && edge_contracted(eids[k]);
-            break;
-          }
-          if constexpr (kContraction) {
-            if (from == graph::kNoVertex) {
-              const auto iids = g.in_edges(v);
-              const auto isrcs = g.in_sources(v);
-              for (std::size_t k = 0; k < iids.size(); ++k) {
-                if (!s.front_b.test(isrcs[k])) continue;
-                if (!edge_contracted(iids[k]) || edge_blocked(iids[k]))
-                  continue;
-                from = isrcs[k];
-                free = true;
-                break;
-              }
-            }
-          }
-          if (from != graph::kNoVertex) visit_b(v, from, free);
-        }
-        for (std::size_t i = 0; i < blevel; ++i)
-          s.front_b.reset(s.queue_b[bh + i]);
-        bh += blevel;
-        if constexpr (kContraction) {
-          while (zt > 0) expand_b(s.zero_b[--zt]);
-        }
       }
       blevel = next_level;
       ++db;
@@ -1045,9 +528,6 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
       if (totals[r] != graph::kNoVertex && totals[r] <= df + db + 1)
         ++resolved;
   }
-  visited += (stamped_f - seeded_f) + (stamped_b - seeded_b);
-  dir.visits_forward += stamped_f - seeded_f;
-  dir.visits_backward += stamped_b - seeded_b;
 }
 
 /// Wave dispatcher: fills meets[r] with each request's best meeting vertex
@@ -1059,25 +539,19 @@ template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
 void wave_search(const graph::CsrGraph& g, const graph::VertexId* srcs,
                  const graph::VertexId* dsts, std::size_t n, SearchScratch& s,
                  graph::VertexId* meets, std::uint32_t* totals,
-                 std::uint64_t& visited, DirStats& dir, BusyFn&& is_busy,
+                 std::uint64_t& visited, BusyFn&& is_busy,
                  EdgeBlockedFn&& edge_blocked,
-                 EdgeContractedFn&& edge_contracted, bool contraction_live,
-                 bool dir_opt) {
-  const auto run = [&](auto contraction_tag, auto diropt_tag) {
-    wave_search_impl<decltype(contraction_tag)::value,
-                     decltype(diropt_tag)::value>(
-        g, srcs, dsts, n, s, meets, totals, visited, dir,
+                 EdgeContractedFn&& edge_contracted, bool contraction_live) {
+  if (contraction_live)
+    return wave_search_impl<true>(
+        g, srcs, dsts, n, s, meets, totals, visited,
         static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
         static_cast<EdgeContractedFn&&>(edge_contracted));
-  };
-  using T = std::true_type;
-  using F = std::false_type;
-  if (contraction_live) {
-    dir_opt ? run(T{}, T{}) : run(T{}, F{});
-  } else {
-    dir_opt ? run(F{}, T{}) : run(F{}, F{});
-  }
+  wave_search_impl<false>(g, srcs, dsts, n, s, meets, totals, visited,
+                          static_cast<BusyFn&&>(is_busy),
+                          static_cast<EdgeBlockedFn&&>(edge_blocked),
+                          static_cast<EdgeContractedFn&&>(edge_contracted));
 }
 
 }  // namespace ftcs::core::detail

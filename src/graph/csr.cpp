@@ -1,6 +1,5 @@
 #include "graph/csr.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -45,8 +44,6 @@ CsrGraph::CsrGraph(const CsrGraph& base, const CsrDelta& delta) {
         out_offsets_[v] + static_cast<std::uint32_t>(base_out + add_out[v]);
     in_offsets_[v + 1] =
         in_offsets_[v] + static_cast<std::uint32_t>(base_in + add_in[v]);
-    max_out_degree_ = std::max(max_out_degree_, base_out + add_out[v]);
-    max_in_degree_ = std::max(max_in_degree_, base_in + add_in[v]);
   }
 
   out_edge_ids_.resize(e);
@@ -117,8 +114,6 @@ void CsrGraph::build_relabeled(const CsrGraph& src, const VertexId* perm) {
     in_offsets_[v + 1] =
         in_offsets_[v] + static_cast<std::uint32_t>(src.in_degree(ov));
   }
-  max_out_degree_ = src.max_out_degree_;
-  max_in_degree_ = src.max_in_degree_;
   for (VertexId v = 0; v < vertex_count_; ++v) {
     const VertexId ov = old_of[v];
     std::uint32_t o = out_offsets_[v];
@@ -168,8 +163,6 @@ void CsrGraph::build(const GraphBuilder& b, const VertexId* perm) {
         out_offsets_[v] + static_cast<std::uint32_t>(b.out_degree(ov));
     in_offsets_[v + 1] =
         in_offsets_[v] + static_cast<std::uint32_t>(b.in_degree(ov));
-    max_out_degree_ = std::max(max_out_degree_, b.out_degree(ov));
-    max_in_degree_ = std::max(max_in_degree_, b.in_degree(ov));
   }
   for (VertexId v = 0; v < vertex_count_; ++v) {
     const VertexId ov = perm != nullptr ? old_of[v] : v;

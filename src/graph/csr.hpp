@@ -86,13 +86,6 @@ class CsrGraph {
     return out_degree(v) + in_degree(v);
   }
 
-  /// Largest single-vertex degree per direction, fixed at finalize time.
-  /// `frontier_size * max_degree` bounds a frontier's edge count from
-  /// above, so the direction-optimizing search can screen its bottom-up
-  /// test without summing degrees on every level.
-  [[nodiscard]] std::size_t max_out_degree() const noexcept { return max_out_degree_; }
-  [[nodiscard]] std::size_t max_in_degree() const noexcept { return max_in_degree_; }
-
  private:
   void build(const GraphBuilder& b, const VertexId* perm);
   void build_relabeled(const CsrGraph& src, const VertexId* perm);
@@ -103,7 +96,6 @@ class CsrGraph {
   std::vector<std::uint32_t> in_offsets_;            // size V+1
   std::vector<EdgeId> out_edge_ids_, in_edge_ids_;   // size E each
   std::vector<VertexId> out_targets_, in_sources_;   // size E, id-aligned
-  std::size_t max_out_degree_ = 0, max_in_degree_ = 0;
 };
 
 }  // namespace ftcs::graph

@@ -177,7 +177,7 @@ Network relabel_locality(const Network& net) {
   nb.outputs = net.outputs;
   nb.stage = net.stage;
   nb.name = net.name;
-  return nb.finalize(RelabelMode::kLocality);
+  return nb.finalize(FinalizeOptions{RelabelMode::kLocality});
 }
 
 bool Network::is_input(VertexId v) const {

@@ -135,11 +135,6 @@ struct NetworkBuilder {
   /// remapped so the terminal-index API surface is unchanged, and the
   /// old↔new permutation is retained on the Network.
   [[nodiscard]] Network finalize(FinalizeOptions opts = {}) const;
-  /// Deprecated positional form, kept one PR for callers that pass the
-  /// relabel mode directly; prefer finalize(FinalizeOptions{...}).
-  [[nodiscard]] Network finalize(RelabelMode mode) const {
-    return finalize(FinalizeOptions{mode});
-  }
 };
 
 /// Result of growing a finalized network: the merged network plus the

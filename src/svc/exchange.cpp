@@ -28,8 +28,7 @@ Exchange::Exchange(const graph::Network* net,
       net_(owned_net_ ? owned_net_.get() : net),
       engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions,
                                                std::move(cfg.blocked),
-                                               std::move(cfg.blocked_edges),
-                                               cfg.direction_optimize})),
+                                               std::move(cfg.blocked_edges)})),
       admission_(cfg.admission ? std::move(cfg.admission)
                                : std::make_unique<UnboundedAdmission>()),
       wave_drain_(cfg.wave_drain),

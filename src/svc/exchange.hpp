@@ -242,9 +242,6 @@ struct ExchangeConfig {
   /// Batched plane: route each session's drain() chunk as one search wave
   /// (Engine::connect_wave). Off reproduces per-request drain routing.
   bool wave_drain = true;
-  /// A/B switch for the direction-optimizing frontier (see make_engine);
-  /// off reproduces the classic top-down search.
-  bool direction_optimize = true;
   /// Worker-pinning policy applied to util::ThreadPool::global() at
   /// construction (the pool that drain() routes on). kNone leaves the pool
   /// untouched; kSpread/kCompact pin its workers (see util/cpu_topology.hpp)

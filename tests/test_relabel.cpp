@@ -4,13 +4,10 @@
 // ids and per-vertex incidence order, so routing on the relabeled network
 // must be the EXACT image of routing on the original under the permutation:
 // same verdicts, same call slots, same books, paths equal after mapping
-// through hot_of. The top-down search is fully order-deterministic, so the
-// exact-image pins run with direction_optimize(false); the dir-opt sweep
-// scans unvisited vertices in id order (which the permutation changes), so
-// its pins assert verdict/slot/length parity and matching books instead of
-// identical vertex sequences. Welded (stuck-on) costs are discovery-order
-// dependent, so those pins assert verdict parity and per-hop validity, like
-// the dir-opt suite does.
+// through hot_of. The search expands frontiers in queue and incidence order,
+// never in vertex-id order, so it is fully order-deterministic under the
+// permutation. Welded (stuck-on) costs are discovery-order dependent, so
+// those pins assert verdict parity only.
 //
 // Overlay pins rely on edge-id stability across the relabel: the same
 // fail/contract schedule (by edge id) must hit the same switches on both.
@@ -41,13 +38,13 @@ std::vector<graph::VertexId> map_path(const std::vector<graph::VertexId>& path,
 
 /// Drives the same request trace through a router on the ORIGINAL network
 /// and a router on its kLocality relabel. Verdicts and slots must always
-/// agree; with `exact_paths` the base path mapped through hot_of must equal
-/// the relabeled path vertex for vertex, otherwise only lengths are pinned.
+/// agree, and the base path mapped through hot_of must equal the relabeled
+/// path vertex for vertex.
 template <class Session>
 void run_relabel_trace(Session& base, Session& hot,
                        const std::vector<graph::VertexId>& hot_of,
                        std::uint32_t terminals, std::uint64_t seed,
-                       std::size_t ops, bool exact_paths) {
+                       std::size_t ops) {
   constexpr auto kNone = static_cast<std::uint32_t>(-1);
   util::Xoshiro256 rng(seed);
   std::vector<std::uint32_t> active_a, active_b;
@@ -71,12 +68,8 @@ void run_relabel_trace(Session& base, Session& hot,
         << "relabel verdict divergence at op " << op;
     if (ca == kNone) continue;
     ASSERT_EQ(ca, cb) << "slot allocation divergence at op " << op;
-    if (exact_paths)
-      EXPECT_EQ(map_path(base.path_of(ca), hot_of), hot.path_of(cb))
-          << "path is not the permutation image at op " << op;
-    else
-      EXPECT_EQ(base.path_of(ca).size(), hot.path_of(cb).size())
-          << "path length divergence at op " << op;
+    EXPECT_EQ(map_path(base.path_of(ca), hot_of), hot.path_of(cb))
+        << "path is not the permutation image at op " << op;
     active_a.push_back(ca);
     active_b.push_back(cb);
     ++accepted;
@@ -84,8 +77,8 @@ void run_relabel_trace(Session& base, Session& hot,
   ASSERT_GT(accepted, 0u);
 }
 
-/// Both routers run the SAME search mode on isomorphic graphs, so every
-/// counter — including the dir-opt split — must match exactly.
+/// Both routers run the SAME search on isomorphic graphs, so every counter
+/// must match exactly.
 void expect_same_books(const core::RouterStats& a, const core::RouterStats& b) {
   EXPECT_EQ(a.connect_calls, b.connect_calls);
   EXPECT_EQ(a.accepted, b.accepted);
@@ -95,8 +88,6 @@ void expect_same_books(const core::RouterStats& a, const core::RouterStats& b) {
   EXPECT_EQ(a.disconnects, b.disconnects);
   EXPECT_EQ(a.vertices_visited, b.vertices_visited);
   EXPECT_EQ(a.path_vertices, b.path_vertices);
-  EXPECT_EQ(a.visits_forward, b.visits_forward);
-  EXPECT_EQ(a.visits_backward, b.visits_backward);
   EXPECT_EQ(a.bottom_up_levels, b.bottom_up_levels);
 }
 
@@ -175,28 +166,13 @@ TEST(Relabel, CsrIsExactImageWithStableEdgeIds) {
   }
 }
 
-TEST(Relabel, GreedyTopDownChurnIsExactImage) {
+TEST(Relabel, GreedyChurnIsExactImage) {
   const auto base = networks::build_cantor({4, 0});
   const auto hot = graph::relabel_locality(base);
   core::GreedyRouter a(base);
   core::GreedyRouter b(hot);
-  a.set_direction_optimize(false);
-  b.set_direction_optimize(false);
   run_relabel_trace(a, b, hot.hot_of,
-                    static_cast<std::uint32_t>(base.inputs.size()), 7321, 800,
-                    /*exact_paths=*/true);
-  expect_same_books(a.stats(), b.stats());
-  EXPECT_EQ(a.busy_vertices(), b.busy_vertices());
-}
-
-TEST(Relabel, GreedyDirOptChurnKeepsBooksIdentical) {
-  const auto base = networks::build_cantor({4, 0});
-  const auto hot = graph::relabel_locality(base);
-  core::GreedyRouter a(base);  // dir-opt is the default
-  core::GreedyRouter b(hot);
-  run_relabel_trace(a, b, hot.hot_of,
-                    static_cast<std::uint32_t>(base.inputs.size()), 7321, 800,
-                    /*exact_paths=*/false);
+                    static_cast<std::uint32_t>(base.inputs.size()), 7321, 800);
   expect_same_books(a.stats(), b.stats());
   EXPECT_EQ(a.busy_vertices(), b.busy_vertices());
 }
@@ -206,11 +182,8 @@ TEST(Relabel, ConcurrentOneWorkerChurnIsExactImage) {
   const auto hot = graph::relabel_locality(base);
   core::ConcurrentRouter a(base, 1);
   core::ConcurrentRouter b(hot, 1);
-  a.set_direction_optimize(false);
-  b.set_direction_optimize(false);
   run_relabel_trace(a.worker(0), b.worker(0), hot.hot_of,
-                    static_cast<std::uint32_t>(base.inputs.size()), 7321, 800,
-                    /*exact_paths=*/true);
+                    static_cast<std::uint32_t>(base.inputs.size()), 7321, 800);
   expect_same_books(a.stats(), b.stats());
   EXPECT_EQ(a.busy_vertices(), b.busy_vertices());
 }
@@ -220,16 +193,13 @@ TEST(Relabel, DegradedOverlayChurnIsExactImage) {
   const auto hot = graph::relabel_locality(base);
   core::GreedyRouter a(base);
   core::GreedyRouter b(hot);
-  a.set_direction_optimize(false);
-  b.set_direction_optimize(false);
   // Same fail schedule BY EDGE ID on both sides: ids are relabel-stable.
   for (graph::EdgeId e = 3; e < base.g.edge_count(); e += 17) {
     a.fail_edge(e);
     b.fail_edge(e);
   }
   run_relabel_trace(a, b, hot.hot_of,
-                    static_cast<std::uint32_t>(base.inputs.size()), 4711, 800,
-                    /*exact_paths=*/true);
+                    static_cast<std::uint32_t>(base.inputs.size()), 4711, 800);
   expect_same_books(a.stats(), b.stats());
 }
 

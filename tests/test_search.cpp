@@ -1,0 +1,359 @@
+// Single-pair search kernel (ftcs/search.hpp) pins.
+//
+//  - Early-exit path identity: the contraction-free kernel returns at its
+//    first final meet instead of finishing the level. Seeded idle-pair
+//    churn on 𝒩̂, cantor-k5 and cantor-k7, healthy and with open-failed
+//    switches, compares every settled path with a test-local full-level
+//    bidirectional BFS (same expansion order and tie-breaks, no exit):
+//    paths and verdicts must be identical, the kernel must visit fewer
+//    vertices, and a 1-worker ConcurrentRouter must stay path-for-path
+//    identical to GreedyRouter.
+//  - Welds (stuck-on switches): the kernel finishes every level, crosses
+//    welds as free hops in both directions (including reverse conduction
+//    against the edge direction), and settles electrically sound paths.
+//  - Degraded overlay: failed switches keep both engines' books identical.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "ftcs/concurrent_router.hpp"
+#include "ftcs/ft_network.hpp"
+#include "ftcs/params.hpp"
+#include "ftcs/router.hpp"
+#include "networks/cantor.hpp"
+#include "util/prng.hpp"
+
+namespace ftcs {
+namespace {
+
+constexpr auto kNone = graph::kNoVertex;
+
+struct RefResult {
+  std::vector<graph::VertexId> path;  // empty = no idle path
+  std::uint64_t visits = 0;           // stamps, seeds excluded
+};
+
+/// Full-level bidirectional BFS over idle vertices: the kernel's expansion
+/// order (smaller frontier first, CSR edge order) and meet rules, but every
+/// level runs to its end before the termination test.
+RefResult reference_search(const graph::CsrGraph& g, graph::VertexId src,
+                           graph::VertexId dst,
+                           const std::vector<std::uint8_t>& busy,
+                           const core::GreedyRouter& router) {
+  RefResult r;
+  if (busy[src] || busy[dst]) return r;
+  struct Side {
+    std::vector<std::uint8_t> seen;
+    std::vector<graph::VertexId> parent;
+    std::vector<std::uint32_t> dist;
+    std::vector<graph::VertexId> front;
+    graph::VertexId seed;
+    std::uint32_t depth = 0;
+    bool idle(graph::VertexId v) const {  // stamped with a usable chain
+      return seen[v] && (parent[v] != kNone || v == seed);
+    }
+  };
+  const std::size_t n = g.vertex_count();
+  Side f{std::vector<std::uint8_t>(n), std::vector<graph::VertexId>(n, kNone),
+         std::vector<std::uint32_t>(n), {src}, src};
+  Side b{std::vector<std::uint8_t>(n), std::vector<graph::VertexId>(n, kNone),
+         std::vector<std::uint32_t>(n), {dst}, dst};
+  f.seen[src] = b.seen[dst] = 1;
+  graph::VertexId meet = kNone;
+  std::uint32_t best = kNone;
+  while (!f.front.empty() && !b.front.empty() &&
+         best > f.depth + b.depth + 1) {
+    const bool fwd = f.front.size() <= b.front.size();
+    Side& me = fwd ? f : b;
+    const Side& other = fwd ? b : f;
+    std::vector<graph::VertexId> next;
+    for (const graph::VertexId u : me.front) {
+      const auto eids = fwd ? g.out_edges(u) : g.in_edges(u);
+      const auto nbrs = fwd ? g.out_targets(u) : g.in_sources(u);
+      for (std::size_t i = 0; i < eids.size(); ++i) {
+        const graph::VertexId v = nbrs[i];
+        if (!router.edge_usable(eids[i]) || me.seen[v]) continue;
+        me.seen[v] = 1;
+        ++r.visits;
+        if (busy[v]) continue;
+        me.parent[v] = u;
+        me.dist[v] = me.depth + 1;
+        if (other.idle(v)) {
+          if (me.dist[v] + other.dist[v] < best) {
+            best = me.dist[v] + other.dist[v];
+            meet = v;
+          }
+        } else {
+          next.push_back(v);
+        }
+      }
+    }
+    me.front = std::move(next);
+    ++me.depth;
+  }
+  if (meet == kNone) return r;
+  for (graph::VertexId v = meet; v != kNone; v = f.parent[v])
+    r.path.insert(r.path.begin(), v);
+  for (graph::VertexId v = meet; v != dst;) r.path.push_back(v = b.parent[v]);
+  return r;
+}
+
+/// Idle-pair churn (both terminals idle on every connect, occupancy capped
+/// at 80%) through a GreedyRouter and a 1-worker ConcurrentRouter in
+/// lockstep, with `faults` seeded open-failed switches on both. Every
+/// connect is checked against the full-level reference.
+void expect_early_exit_matches_reference(const graph::Network& net,
+                                         std::size_t faults,
+                                         std::uint64_t seed,
+                                         std::size_t ops) {
+  core::GreedyRouter greedy(net);
+  core::ConcurrentRouter conc(net, 1);
+  auto& worker = conc.worker(0);
+  util::Xoshiro256 rng(seed);
+  for (std::size_t k = 0; k < faults; ++k) {
+    const auto e = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
+    greedy.fail_edge(e);
+    conc.fail_edge(e);
+  }
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  std::vector<core::GreedyRouter::CallId> active;
+  std::uint64_t ref_visits = 0;
+  std::size_t compared = 0;
+  for (std::size_t op = 0; op < ops; ++op) {
+    if (!active.empty() &&
+        (active.size() * 5 >= std::size_t{n} * 4 || rng.below(2) == 0)) {
+      const auto idx = rng.below(active.size());
+      greedy.disconnect(active[idx]);
+      worker.disconnect(active[idx]);
+      active[idx] = active.back();
+      active.pop_back();
+      continue;
+    }
+    std::uint32_t in, out;
+    do in = static_cast<std::uint32_t>(rng.below(n));
+    while (!greedy.input_idle(in));
+    do out = static_cast<std::uint32_t>(rng.below(n));
+    while (!greedy.output_idle(out));
+    const auto ref = reference_search(net.g, net.inputs[in], net.outputs[out],
+                                      greedy.busy_mask(), greedy);
+    const std::uint64_t visits_before = greedy.stats().vertices_visited;
+    const auto call = greedy.connect(in, out);
+    const auto wcall = worker.connect(in, out);
+    ASSERT_EQ(call, wcall) << "greedy/concurrent divergence at op " << op;
+    ASSERT_EQ(call == core::GreedyRouter::kNoCall, ref.path.empty())
+        << "verdict differs from the full-level reference at op " << op;
+    EXPECT_LE(greedy.stats().vertices_visited - visits_before, ref.visits);
+    ref_visits += ref.visits;
+    if (call == core::GreedyRouter::kNoCall) continue;
+    const auto path = greedy.path_of(call);
+    ASSERT_EQ(path, ref.path) << "path differs from the reference at op " << op;
+    ASSERT_EQ(worker.path_of(wcall), path);
+    active.push_back(call);
+    ++compared;
+  }
+  EXPECT_GT(compared, ops / 4);
+  const auto& gs = greedy.stats();
+  // The exit skips the rest of the meeting level: ~37% fewer visits on 𝒩̂,
+  // ~25% on Cantor.
+  EXPECT_LT(gs.vertices_visited, ref_visits);
+  EXPECT_EQ(gs.vertices_visited, conc.stats().vertices_visited);
+  EXPECT_EQ(gs.accepted, conc.stats().accepted);
+  EXPECT_EQ(gs.rejected_no_path, conc.stats().rejected_no_path);
+  EXPECT_EQ(greedy.busy_vertices(), conc.busy_vertices());
+}
+
+TEST(SearchEarlyExit, NhatSettlesFullLevelReferencePaths) {
+  const auto ft = core::build_ft_network(core::FtParams::sim(3, 8, 6, 1, 3));
+  expect_early_exit_matches_reference(ft.net, 0, 11, 4000);
+  expect_early_exit_matches_reference(ft.net, 40, 12, 4000);
+}
+
+TEST(SearchEarlyExit, CantorK5SettlesFullLevelReferencePaths) {
+  const auto net = networks::build_cantor({5, 0});
+  expect_early_exit_matches_reference(net, 0, 21, 4000);
+  expect_early_exit_matches_reference(net, 40, 22, 4000);
+}
+
+TEST(SearchEarlyExit, CantorK7SettlesFullLevelReferencePaths) {
+  const auto net = networks::build_cantor({7, 0});
+  expect_early_exit_matches_reference(net, 0, 31, 3000);
+  expect_early_exit_matches_reference(net, 40, 32, 3000);
+}
+
+// ---------------------------------------------------------------------------
+// Welds and degraded overlays.
+// ---------------------------------------------------------------------------
+
+/// Is u -> v traversable for a settled path: a usable forward switch, or a
+/// usable stuck-on (welded) switch v -> u conducting in reverse.
+template <class Router>
+bool hop_ok(const Router& r, const graph::CsrGraph& g, graph::VertexId u,
+            graph::VertexId v) {
+  {
+    const auto eids = g.out_edges(u);
+    const auto tgts = g.out_targets(u);
+    for (std::size_t i = 0; i < eids.size(); ++i)
+      if (tgts[i] == v && r.edge_usable(eids[i])) return true;
+  }
+  const auto eids = g.out_edges(v);
+  const auto tgts = g.out_targets(v);
+  for (std::size_t i = 0; i < eids.size(); ++i)
+    if (tgts[i] == u && r.edge_usable(eids[i]) && r.edge_contracted(eids[i]))
+      return true;
+  return false;
+}
+
+template <class Router>
+void expect_valid_path(const Router& r, const graph::CsrGraph& g,
+                       const std::vector<graph::VertexId>& path) {
+  ASSERT_GE(path.size(), 2u);
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    EXPECT_TRUE(hop_ok(r, g, path[i], path[i + 1]))
+        << "hop " << path[i] << " -> " << path[i + 1] << " is not an edge";
+}
+
+/// Fan-out star with a weldable reverse conductor:
+///   in -> hub -> mid[0..mids) -> join -> out,  back -> hub,  back -> join.
+struct Star {
+  graph::Network net;
+  graph::VertexId in, hub, join, out, back;
+  graph::EdgeId back_to_hub;
+};
+
+Star build_star(std::size_t mids) {
+  graph::NetworkBuilder nb;
+  Star s;
+  s.in = nb.g.add_vertex();
+  s.hub = nb.g.add_vertex();
+  std::vector<graph::VertexId> mid(mids);
+  for (auto& m : mid) m = nb.g.add_vertex();
+  s.join = nb.g.add_vertex();
+  s.out = nb.g.add_vertex();
+  nb.g.add_edge(s.in, s.hub);
+  for (const auto m : mid) nb.g.add_edge(s.hub, m);
+  for (const auto m : mid) nb.g.add_edge(m, s.join);
+  nb.g.add_edge(s.join, s.out);
+  s.back = nb.g.add_vertex();
+  s.back_to_hub = nb.g.add_edge(s.back, s.hub);  // points AWAY from out
+  nb.g.add_edge(s.back, s.join);
+  nb.inputs = {s.in};
+  nb.outputs = {s.out};
+  nb.name = "fanout-star";
+  s.net = nb.finalize();
+  return s;
+}
+
+TEST(SearchWelds, StarReverseConductionWeld) {
+  // Weld back->hub shut: it conducts both ways for free, so the cheapest
+  // route is in, hub, back, join, out (2 unit hops + the weld + join->out),
+  // and `back` is only reachable from hub against the edge direction.
+  const auto star = build_star(256);
+  const std::vector<graph::VertexId> via_weld = {star.in, star.hub, star.back,
+                                                 star.join, star.out};
+  core::GreedyRouter greedy(star.net);
+  greedy.contract_edge(star.back_to_hub);
+  const auto ca = greedy.connect(0, 0);
+  ASSERT_NE(ca, core::GreedyRouter::kNoCall);
+  expect_valid_path(greedy, star.net.g, greedy.path_of(ca));
+  EXPECT_EQ(greedy.path_of(ca), via_weld);
+  greedy.disconnect(ca);
+  EXPECT_EQ(greedy.busy_vertices(), 0u);
+
+  // Same weld on the concurrent engine's worker.
+  core::ConcurrentRouter conc(star.net, 1);
+  conc.contract_edge(star.back_to_hub);
+  auto& w = conc.worker(0);
+  const auto cc = w.connect(0, 0);
+  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
+  expect_valid_path(conc, star.net.g, w.path_of(cc));
+  EXPECT_EQ(w.path_of(cc), via_weld);
+  w.disconnect(cc);
+  EXPECT_EQ(conc.busy_vertices(), 0u);
+}
+
+TEST(SearchWelds, GreedyWeldedTraceVerdictParity) {
+  // Stateless welded trace on cantor: route one pair at a time (connect,
+  // check, disconnect) with a handful of switches stuck on. Both engines
+  // run the same full-level contraction body, so verdicts and paths must
+  // agree, and every settled path must be electrically sound hop by hop.
+  const auto net = networks::build_cantor({4, 0});
+  core::GreedyRouter a(net);
+  core::ConcurrentRouter b(net, 1);
+  auto& wb = b.worker(0);
+  for (graph::EdgeId e = 5; e < net.g.edge_count(); e += 29) {
+    a.contract_edge(e);
+    b.contract_edge(e);
+  }
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  util::Xoshiro256 rng(99);
+  std::size_t routed = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto in = static_cast<std::uint32_t>(rng.below(n));
+    const auto out = static_cast<std::uint32_t>(rng.below(n));
+    const auto ca = a.connect(in, out);
+    const auto cb = wb.connect(in, out);
+    ASSERT_EQ(ca == core::GreedyRouter::kNoCall,
+              cb == core::ConcurrentRouter::kNoCall)
+        << "welded verdict divergence at trial " << trial;
+    if (ca == core::GreedyRouter::kNoCall) continue;
+    expect_valid_path(a, net.g, a.path_of(ca));
+    EXPECT_EQ(a.path_of(ca), wb.path_of(cb));
+    a.disconnect(ca);
+    wb.disconnect(cb);
+    ++routed;
+  }
+  ASSERT_GT(routed, 0u);
+  EXPECT_EQ(a.busy_vertices(), 0u);
+  EXPECT_EQ(b.busy_vertices(), 0u);
+}
+
+TEST(SearchOverlay, DegradedOverlayEquivalence) {
+  // Random (not idle-pair) requests over a deterministic spread of failed
+  // switches: terminal rejects, no-path rejects and accepts must all match
+  // between the engines, down to the visit counts.
+  const auto net = networks::build_cantor({4, 0});
+  core::GreedyRouter a(net);
+  core::ConcurrentRouter b(net, 1);
+  auto& wb = b.worker(0);
+  for (graph::EdgeId e = 3; e < net.g.edge_count(); e += 17) {
+    a.fail_edge(e);
+    b.fail_edge(e);
+  }
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  util::Xoshiro256 rng(4711);
+  std::vector<std::uint32_t> active;
+  std::size_t accepted = 0;
+  for (std::size_t op = 0; op < 800; ++op) {
+    if (!active.empty() && rng.below(4) == 0) {
+      const auto idx = rng.below(active.size());
+      a.disconnect(active[idx]);
+      wb.disconnect(active[idx]);
+      active[idx] = active.back();
+      active.pop_back();
+      continue;
+    }
+    const auto in = static_cast<std::uint32_t>(rng.below(n));
+    const auto out = static_cast<std::uint32_t>(rng.below(n));
+    const auto ca = a.connect(in, out);
+    ASSERT_EQ(ca, wb.connect(in, out)) << "divergence at op " << op;
+    if (ca == core::GreedyRouter::kNoCall) continue;
+    EXPECT_EQ(a.path_of(ca), wb.path_of(ca)) << "path divergence at op " << op;
+    active.push_back(ca);
+    ++accepted;
+  }
+  ASSERT_GT(accepted, 0u);
+  const auto& sa = a.stats();
+  const auto& sb = b.stats();
+  EXPECT_EQ(sa.connect_calls, sb.connect_calls);
+  EXPECT_EQ(sa.accepted, sb.accepted);
+  EXPECT_EQ(sa.rejected_terminal, sb.rejected_terminal);
+  EXPECT_EQ(sa.rejected_no_path, sb.rejected_no_path);
+  EXPECT_EQ(sa.disconnects, sb.disconnects);
+  EXPECT_EQ(sa.vertices_visited, sb.vertices_visited);
+  EXPECT_EQ(sa.path_vertices, sb.path_vertices);
+  EXPECT_EQ(a.busy_vertices(), b.busy_vertices());
+}
+
+}  // namespace
+}  // namespace ftcs
