@@ -27,6 +27,8 @@ ConcurrentRouter::ConcurrentRouter(const graph::Network& net, unsigned workers,
   // and the overlay must be flippable while workers are live.
   dead_edges_.resize(net.g.edge_count());
   contracted_edges_.resize(net.g.edge_count());
+  welded_vertices_.resize(v_count);
+  vertex_welds_.assign(v_count, 0);
   dead_vertices_.resize(v_count);
   fault_claimed_.resize(v_count);
   path_next_.assign(v_count, graph::kNoVertex);
@@ -86,6 +88,16 @@ void ConcurrentRouter::grow(const graph::Network& net,
   };
   rebuild_edge_bits(dead_edges_);
   rebuild_edge_bits(contracted_edges_);
+
+  // Weld map: recounted from the carried weld bits on the grown graph.
+  welded_vertices_.resize(v_count);
+  vertex_welds_.assign(v_count, 0);
+  for (std::size_t e = 0; e < e_count; ++e) {
+    if (!contracted_edges_.test(e)) continue;
+    const graph::Edge& ed = net.g.edge(static_cast<graph::EdgeId>(e));
+    for (const graph::VertexId v : {ed.from, ed.to})
+      if (vertex_welds_[v]++ == 0) welded_vertices_.set(v);
+  }
 
   // Terminal claim slots: old indices keep their meaning (prefix-stable
   // terminal lists), appended slots start idle. Padding as at construction.
@@ -194,7 +206,7 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
   // PR 2 hot path.
   const bool overlay = r.overlay_active_.load(std::memory_order_acquire);
   const bool contraction =
-      r.contraction_active_.load(std::memory_order_acquire);
+      r.contracted_count_.load(std::memory_order_acquire) > 0;
   const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
   const auto edge_blocked = [&r, edge_faults, overlay](graph::EdgeId e) {
     return (edge_faults && r.blocked_edges_.test(e)) ||
@@ -203,12 +215,15 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
   const auto edge_contracted = [&r](graph::EdgeId e) {
     return r.contracted_edges_.test(e);  // relaxed: dirty snapshot
   };
+  const auto vertex_welded = [&r](graph::VertexId v) {
+    return r.welded_vertices_.test(v);  // relaxed: dirty snapshot
+  };
 
   for (unsigned attempt = 0;; ++attempt) {
     // 2. Search on a dirty busy snapshot (relaxed reads, private scratch).
     const graph::VertexId meet = detail::bidir_shortest_idle_path(
         r.net_->g, src, dst, scratch_, stats_.vertices_visited, is_busy,
-        edge_blocked, edge_contracted, contraction);
+        edge_blocked, edge_contracted, vertex_welded, contraction);
     if (meet == graph::kNoVertex) {
       r.out_busy_.reset(out);
       r.in_busy_.reset(in);
@@ -422,7 +437,7 @@ void ConcurrentRouter::Worker::connect_wave(WaveItem* items, std::size_t n) {
     const bool edge_faults = !r.blocked_edges_.empty();
     const bool overlay = r.overlay_active_.load(std::memory_order_acquire);
     const bool contraction =
-        r.contraction_active_.load(std::memory_order_acquire);
+        r.contracted_count_.load(std::memory_order_acquire) > 0;
     const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
     const auto edge_blocked = [&r, edge_faults, overlay](graph::EdgeId e) {
       return (edge_faults && r.blocked_edges_.test(e)) ||
@@ -431,10 +446,13 @@ void ConcurrentRouter::Worker::connect_wave(WaveItem* items, std::size_t n) {
     const auto edge_contracted = [&r](graph::EdgeId e) {
       return r.contracted_edges_.test(e);  // relaxed: dirty snapshot
     };
+    const auto vertex_welded = [&r](graph::VertexId v) {
+      return r.welded_vertices_.test(v);  // relaxed: dirty snapshot
+    };
     detail::wave_search(r.net_->g, wave_src_.data(), wave_dst_.data(), m,
                         scratch_, wave_meet_.data(), wave_total_.data(),
                         stats_.vertices_visited, is_busy, edge_blocked,
-                        edge_contracted, contraction);
+                        edge_contracted, vertex_welded, contraction);
 
     // Steps 3-5 per settled request, in window order. A meetless entry is
     // demoted (labels compete in the shared sweep — a miss is NOT proof of
@@ -567,14 +585,25 @@ void ConcurrentRouter::repair_edge(graph::EdgeId e) {
 }
 
 void ConcurrentRouter::contract_edge(graph::EdgeId e) {
-  // Flag first, bit second: any search that can already see the bit also
-  // runs with the contraction branches enabled (same order as fail_edge).
-  contraction_active_.store(true, std::memory_order_release);
-  (void)contracted_edges_.try_set(e);  // acq_rel RMW; idempotent
+  if (contracted_edges_.test(e, std::memory_order_acquire)) return;
+  // Count first, vertex bits next, edge bit last: any search that can
+  // already see the edge bit also runs the welded body and finds the weld
+  // at both endpoints (same flag-before-bit order as fail_edge).
+  contracted_count_.fetch_add(1, std::memory_order_release);
+  const graph::Edge& ed = net_->g.edge(e);
+  for (const graph::VertexId v : {ed.from, ed.to})
+    if (vertex_welds_[v]++ == 0) (void)welded_vertices_.try_set(v);
+  (void)contracted_edges_.try_set(e);  // acq_rel RMW
 }
 
 void ConcurrentRouter::uncontract_edge(graph::EdgeId e) {
+  if (!contracted_edges_.test(e, std::memory_order_acquire)) return;
+  // The reverse order: edge bit first, the count last.
   contracted_edges_.reset(e);  // release
+  const graph::Edge& ed = net_->g.edge(e);
+  for (const graph::VertexId v : {ed.from, ed.to})
+    if (--vertex_welds_[v] == 0) welded_vertices_.reset(v);
+  contracted_count_.fetch_sub(1, std::memory_order_release);
 }
 
 void ConcurrentRouter::kill_vertex(graph::VertexId v) {
@@ -599,7 +628,8 @@ void ConcurrentRouter::revive_vertex(graph::VertexId v) {
 bool ConcurrentRouter::path_switches_alive(
     const std::vector<graph::VertexId>& path) const {
   const bool edge_faults = !blocked_edges_.empty();
-  const bool contraction = contraction_active_.load(std::memory_order_acquire);
+  const bool contraction =
+      contracted_count_.load(std::memory_order_acquire) > 0;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const graph::VertexId u = path[i], v = path[i + 1];
     const auto eids = net_->g.out_edges(u);

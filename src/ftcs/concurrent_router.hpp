@@ -64,8 +64,16 @@
 // CLOSED failures (stuck-on switches, §2 contraction): contracted_edges_ is
 // a second AtomicBitset under the same dirty-snapshot discipline — the BFS
 // reads it relaxed and treats a contracted switch as a zero-cost hop that
-// conducts in BOTH directions (see ftcs/search.hpp). contract_edge()/
-// uncontract_edge() may race in-flight connects exactly like fail_edge():
+// conducts in BOTH directions (see ftcs/search.hpp). welded_vertices_ marks
+// the endpoints of live welds (the search's per-vertex weld gate) and
+// contracted_count_ counts outstanding welds (the search picks its welded
+// instantiation while it is nonzero, the rule GreedyRouter uses). Writers
+// are serialized (one at a time, the fault plane's drain() contract) and
+// order their stores so a racing search can only miss a weld: contract
+// raises the count, then the vertex bits, then the edge bit; uncontract
+// clears the edge bit, then the vertex bits, then lowers the count.
+// contract_edge()/uncontract_edge() may race in-flight connects exactly
+// like fail_edge():
 // a stuck flip observed mid-search costs at most a suboptimal-but-valid
 // path (the hop is conducting either way), and the post-claim re-validation
 // accepts a hop carried by a live parallel switch OR by a contracted one in
@@ -252,11 +260,12 @@ class ConcurrentRouter {
   /// Marks switch `e` stuck on (closed failure): the search crosses it as
   /// a zero-cost forced hop in both directions instead of claiming it as a
   /// switching element. Safe while connects are in flight (atomic flip +
-  /// claim-phase re-validation). Idempotent.
+  /// claim-phase re-validation); one contract/uncontract caller at a time.
+  /// Idempotent.
   void contract_edge(graph::EdgeId e);
   /// Clears a stuck-on state. Calls that crossed the weld against the edge
   /// direction are severed — the fault plane sweeps them (see the header
-  /// comment). Idempotent.
+  /// comment). Same racing contract as contract_edge(). Idempotent.
   void uncontract_edge(graph::EdgeId e);
   /// Marks `v` dead and fault-claims its busy bit. QUIESCENT ONLY: no
   /// connect in flight, no active call through v.
@@ -287,6 +296,10 @@ class ConcurrentRouter {
   [[nodiscard]] bool edge_contracted(graph::EdgeId e) const {
     return contracted_edges_.test(e, std::memory_order_acquire);
   }
+  /// Weld-incident: some stuck-on switch ends at `v`.
+  [[nodiscard]] bool vertex_welded(graph::VertexId v) const {
+    return welded_vertices_.test(v, std::memory_order_acquire);
+  }
   /// Usable = neither statically blocked nor runtime-failed.
   [[nodiscard]] bool edge_usable(graph::EdgeId e) const {
     return !(!blocked_edges_.empty() && blocked_edges_.test(e)) &&
@@ -316,11 +329,15 @@ class ConcurrentRouter {
   // cold state touched only under the quiescent kill/revive contract.
   util::AtomicBitset dead_edges_;
   // Stuck-on switches (closed failures): read relaxed by searches alongside
-  // dead_edges_, gated by its own sticky flag so open-failure-only runs do
-  // not pay the reverse-conduction scans in the shared BFS.
+  // dead_edges_. The outstanding-weld count gates the welded search body,
+  // so runs without live welds do not pay the weld work in the shared BFS;
+  // welded_vertices_ gates it per vertex. vertex_welds_ (live welds per
+  // endpoint) belongs to the serialized contract/uncontract writer.
   util::AtomicBitset contracted_edges_;
+  util::AtomicBitset welded_vertices_;
+  std::vector<std::uint32_t> vertex_welds_;
   std::atomic<bool> overlay_active_{false};
-  std::atomic<bool> contraction_active_{false};
+  std::atomic<std::size_t> contracted_count_{0};
   util::Bitset dead_vertices_;
   util::Bitset fault_claimed_;
   util::AtomicBitset in_busy_, out_busy_;  // terminal slots

@@ -105,6 +105,15 @@ void GreedyRouter::grow(const graph::Network& net,
   wave_path_.reserve(v_count);
 
   net_ = &net;
+
+  // Weld map: recounted from the carried weld bits on the grown graph.
+  if (!welded_vertices_.empty()) {
+    vertex_welds_.assign(v_count, 0);
+    welded_vertices_ = util::Bitset(v_count);
+    for (std::size_t e = 0; e < e_count; ++e)
+      if (contracted_edges_.test(e))
+        count_weld(static_cast<graph::EdgeId>(e), +1);
+  }
 }
 
 void GreedyRouter::ensure_overlay() {
@@ -115,6 +124,8 @@ void GreedyRouter::ensure_overlay() {
   fault_claimed_.resize(v_count);
   dead_edges_.resize(e_count);
   contracted_edges_.resize(e_count);
+  vertex_welds_.assign(v_count, 0);
+  welded_vertices_.resize(v_count);
   static_edges_ = blocked_edges_;  // snapshot of the construction-time mask
   if (blocked_edges_.empty()) blocked_edges_.resize(e_count);
 }
@@ -139,13 +150,23 @@ void GreedyRouter::contract_edge(graph::EdgeId e) {
   // predicate, so contracting a dead or statically blocked switch changes
   // nothing until it is repaired/never.
   contracted_edges_.set(e);
+  count_weld(e, +1);
   ++contracted_count_;
 }
 
 void GreedyRouter::uncontract_edge(graph::EdgeId e) {
   if (contracted_edges_.empty() || !contracted_edges_.test(e)) return;
   contracted_edges_.reset(e);
+  count_weld(e, -1);
   --contracted_count_;
+}
+
+void GreedyRouter::count_weld(graph::EdgeId e, int delta) {
+  const graph::Edge& ed = net_->g.edge(e);
+  for (const graph::VertexId v : {ed.from, ed.to}) {
+    vertex_welds_[v] += static_cast<std::uint32_t>(delta);
+    welded_vertices_.assign(v, vertex_welds_[v] > 0);
+  }
 }
 
 void GreedyRouter::kill_vertex(graph::VertexId v) {
@@ -195,9 +216,12 @@ graph::VertexId GreedyRouter::search_one(graph::VertexId src,
   const auto edge_contracted = [this](graph::EdgeId e) {
     return contracted_edges_.test(e);
   };
+  const auto vertex_welded = [this](graph::VertexId v) {
+    return welded_vertices_.test(v);
+  };
   return detail::bidir_shortest_idle_path(
       net_->g, src, dst, scratch_, stats_.vertices_visited, is_busy,
-      edge_blocked, edge_contracted, contraction);
+      edge_blocked, edge_contracted, vertex_welded, contraction);
 }
 
 GreedyRouter::CallId GreedyRouter::connect(std::uint32_t in, std::uint32_t out) {
@@ -405,6 +429,7 @@ void GreedyRouter::connect_wave(WaveItem* items, std::size_t n) {
             return edge_faults && blocked_edges_.test(e);
           },
           [this](graph::EdgeId e) { return contracted_edges_.test(e); },
+          [this](graph::VertexId v) { return welded_vertices_.test(v); },
           contraction);
     }
 

@@ -236,6 +236,11 @@ class GreedyRouter {
   [[nodiscard]] bool edge_contracted(graph::EdgeId e) const {
     return !contracted_edges_.empty() && contracted_edges_.test(e);
   }
+  /// Weld-incident: some stuck-on switch ends at `v` (the search's per-vertex
+  /// gate for the weld work, ftcs/search.hpp).
+  [[nodiscard]] bool vertex_welded(graph::VertexId v) const {
+    return !welded_vertices_.empty() && welded_vertices_.test(v);
+  }
   /// Usable = neither statically blocked nor runtime-failed.
   [[nodiscard]] bool edge_usable(graph::EdgeId e) const {
     return blocked_edges_.empty() || !blocked_edges_.test(e);
@@ -261,6 +266,8 @@ class GreedyRouter {
 
   /// Sizes the overlay bitsets on the first fault event (off the hot path).
   void ensure_overlay();
+  /// Adds (+1) or drops (-1) one live weld at both endpoints of `e`.
+  void count_weld(graph::EdgeId e, int delta);
   /// Runs the shared single-pair search against this router's state.
   [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
                                            graph::VertexId dst);
@@ -281,6 +288,8 @@ class GreedyRouter {
   util::Bitset contracted_edges_;  // stuck-on switches: free forced hops
   std::size_t contracted_count_ = 0;  // outstanding welds: gates the
                                       // contraction search variant
+  std::vector<std::uint32_t> vertex_welds_;  // live welds per endpoint
+  util::Bitset welded_vertices_;             // vertex_welds_[v] > 0
   util::Bitset static_edges_;   // construction-time mask, guards repair_edge
   std::vector<std::uint8_t> in_busy_, out_busy_;
 

@@ -22,10 +22,10 @@
 // most one call, exactly like the contracted-and-rebuilt network's merged
 // vertex — and the settled path claims every vertex it crosses as usual.
 // The whole machinery is a COMPILE-TIME branch (`kContraction`): the
-// dispatcher instantiates the contraction-free variant until a stuck-on
-// event exists, so a network that has never seen one runs the exact
-// pre-contraction hot path (measured: the runtime-flag version cost ~15%
-// on the greedy churn; this one is noise-level).
+// dispatcher instantiates the contraction-free variant while no weld is
+// live (both routers count outstanding welds), so such a search runs the
+// exact pre-contraction hot path (measured: the runtime-flag version cost
+// ~15% on the greedy churn; this one is noise-level).
 //
 // Search invariants:
 //   - forward frontier expands out-edges from src, backward in-edges from
@@ -36,13 +36,13 @@
 //     first meet of the smallest total wins;
 //   - termination: once best_total <= df + db + 1, every strictly shorter
 //     path would already have produced a meet, so the best one is final.
-// Early exit (contraction-free searches only): the search returns as soon
-// as best_total <= df + db + 1 after a frontier vertex is expanded, instead
-// of finishing the level. This is exact. With unit-cost hops, a level that
-// starts without a meet can only produce meets of total exactly
-// df + db + 1: an idle path of length <= df + db crosses a vertex within
-// df of src and db of dst, which both sides stamped before the level
-// began, so that vertex would already be a meet.
+// Early exit: the search returns as soon as best_total <= df + db + 1 after
+// a frontier vertex is expanded, instead of finishing the level. This is
+// exact. A normal-hop meet later in the level has total at least
+// df + db + 1: if a frontier vertex u had an idle out-neighbour v with
+// dist_b(v) < db, the backward side expanded v and stamped u, so u became a
+// meet of total <= df + db before this level began and the loop would
+// already have stopped.
 // So no later meet in the same level can strictly improve on the first
 // one, and the returned meet — hence the settled path, whose parent chains
 // were fixed when their vertices were stamped — is the one the full-level
@@ -55,9 +55,28 @@
 // first stamped at level d+1 through a normal switch is not re-stamped when
 // a later free hop would have reached it at level d (the epoch stamps admit
 // one discovery per vertex). The same free hops can give a later meet of
-// the level a strictly smaller total, so a search with live welds always
-// finishes the level (no early exit). Reachability — the property the
-// offline contraction equivalence pins — is exact.
+// the level a strictly smaller total, so the welded body also waits for
+// them. A free hop can only leave a WELD-INCIDENT vertex (vertex_welded: a
+// live weld touches it) or a vertex on the free-hop stack, which a weld
+// reached. The welded body therefore
+//   - skips the reverse-conduction scan and the per-edge edge_contracted
+//     test at a vertex that is not weld-incident (nothing to find there);
+//   - returns once best_total <= df + db + 1 with the free-hop stack
+//     empty and no weld-incident vertex left in the unexpanded part of the
+//     current frontier (a per-level cursor finds the next one, so each
+//     frontier vertex's bit is read at most once more per level): every
+//     meet the rest of the level can make is then a normal-hop meet of
+//     total >= df + db + 1, so the argument above carries over and the meet
+//     and settled path equal the full-level welded search's.
+// The weld state lives in the queue cursor and the loop, not in the visit
+// lambdas: a [&] lambda captures what it names even in a discarded
+// `if constexpr` branch, which perturbs the weld-free body's code.
+// The predicate is read without synchronization on the concurrent engine,
+// whose writer sets a vertex bit before the weld's edge bit and clears the
+// edge bit before the vertex bit: a stale read can only hide a weld, which
+// the dirty-snapshot contract and the claim re-validation already allow.
+// Reachability — the property the offline contraction equivalence pins —
+// is exact.
 //
 // WAVE SEARCH (wave_search): routes a whole admission window as ONE
 // level-synchronized multi-source sweep. Every request seeds its input into
@@ -70,7 +89,9 @@
 // is final or both frontiers die. Because labels compete for vertices, a
 // request without a meet is NOT proven unroutable — the caller demotes it
 // into the next wave (see GreedyRouter::connect_wave). Shared scratch means
-// the whole window pays ONE sweep of the graph instead of N.
+// the whole window pays ONE sweep of the graph instead of N. Its welded
+// body gates the weld work per vertex like the single search, but has no
+// exit.
 #pragma once
 
 #include <algorithm>
@@ -114,11 +135,12 @@ struct SearchScratch {
 /// The search body; kContraction selects the stuck-on machinery at compile
 /// time. Use the bidir_shortest_idle_path dispatchers below.
 template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn>
+          class EdgeContractedFn, class VertexWeldedFn>
 [[nodiscard]] graph::VertexId bidir_shortest_idle_path_impl(
     const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
     SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
-    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted) {
+    EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
+    VertexWeldedFn&& vertex_welded) {
   if (++s.epoch == 0) {  // epoch wrap: one bulk clear per 2^32 searches
     std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
     std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
@@ -144,11 +166,23 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
   s.queue_b[bt++] = dst;
   std::size_t flevel = 1, blevel = 1;  // vertices in the current frontier
   std::uint32_t df = 0, db = 0;        // distance of those frontiers
+  // Welded body: is a weld-incident vertex left in queue[head, end), the
+  // unexpanded part of the current frontier? `scan` is a per-level cursor
+  // (a position before it is expanded or not weld-incident), so each level
+  // reads each frontier vertex's weld bit at most once here.
+  const auto weld_pending = [&](const std::vector<graph::VertexId>& queue,
+                                std::size_t& scan, std::size_t head,
+                                std::size_t end) {
+    scan = std::max(scan, head);
+    while (scan < end && !vertex_welded(queue[scan])) ++scan;
+    return scan < end;
+  };
 
   while (flevel > 0 && blevel > 0 && best_total > df + db + 1) {
     if (flevel <= blevel) {
       std::size_t next_level = 0;
       std::size_t zt = 0;  // top of the free-hop stack (current level)
+      std::size_t weld_scan = fh;  // welded body: weld_pending cursor
       // Discovery of v from u at cost `free ? 0 : 1`.
       const auto visit_f = [&](graph::VertexId v, graph::VertexId u,
                                bool free) {
@@ -192,9 +226,11 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
       std::size_t n = 0;
       for (;;) {
         graph::VertexId u;
+        bool welded = true;  // free-hop stack entries are weld-incident
         if (n < flevel) {
           u = s.queue_f[fh++];
           ++n;
+          if constexpr (kContraction) welded = vertex_welded(u);
         } else if (kContraction && zt > 0) {
           u = s.zero_f[--zt];
         } else {
@@ -204,18 +240,24 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
         const auto tgts = g.out_targets(u);
         for (std::size_t i = 0; i < eids.size(); ++i) {
           if (edge_blocked(eids[i])) continue;
-          visit_f(tgts[i], u, kContraction && edge_contracted(eids[i]));
+          visit_f(tgts[i], u,
+                  kContraction && welded && edge_contracted(eids[i]));
         }
         if constexpr (kContraction) {
           // A stuck-on switch conducts both ways: a contracted in-edge
           // w->u is a free hop u->w (traversed against the edge direction).
-          const auto reids = g.in_edges(u);
-          const auto rsrcs = g.in_sources(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_f(rsrcs[i], u, true);
+          if (welded) {
+            const auto reids = g.in_edges(u);
+            const auto rsrcs = g.in_sources(u);
+            for (std::size_t i = 0; i < reids.size(); ++i) {
+              if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
+                continue;
+              visit_f(rsrcs[i], u, true);
+            }
           }
+          if (best_total <= df + db + 1 && zt == 0 &&
+              !weld_pending(s.queue_f, weld_scan, fh, fh + flevel - n))
+            return best_meet;  // final: see "Early exit" in the header
         } else if (best_total <= df + db + 1) {
           return best_meet;  // final: see "Early exit" in the header
         }
@@ -225,6 +267,7 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
     } else {
       std::size_t next_level = 0;
       std::size_t zt = 0;
+      std::size_t weld_scan = bh;
       const auto visit_b = [&](graph::VertexId v, graph::VertexId u,
                                bool free) {
         if (s.epoch_b[v] == s.epoch) return;
@@ -256,9 +299,11 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
       std::size_t n = 0;
       for (;;) {
         graph::VertexId u;
+        bool welded = true;
         if (n < blevel) {
           u = s.queue_b[bh++];
           ++n;
+          if constexpr (kContraction) welded = vertex_welded(u);
         } else if (kContraction && zt > 0) {
           u = s.zero_b[--zt];
         } else {
@@ -268,18 +313,24 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
         const auto srcs = g.in_sources(u);
         for (std::size_t i = 0; i < eids.size(); ++i) {
           if (edge_blocked(eids[i])) continue;
-          visit_b(srcs[i], u, kContraction && edge_contracted(eids[i]));
+          visit_b(srcs[i], u,
+                  kContraction && welded && edge_contracted(eids[i]));
         }
         if constexpr (kContraction) {
           // Reverse conduction: a contracted out-edge u->w means the path
           // segment w -> u is carried by the welded switch for free.
-          const auto reids = g.out_edges(u);
-          const auto rtgts = g.out_targets(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_b(rtgts[i], u, true);
+          if (welded) {
+            const auto reids = g.out_edges(u);
+            const auto rtgts = g.out_targets(u);
+            for (std::size_t i = 0; i < reids.size(); ++i) {
+              if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
+                continue;
+              visit_b(rtgts[i], u, true);
+            }
           }
+          if (best_total <= df + db + 1 && zt == 0 &&
+              !weld_pending(s.queue_b, weld_scan, bh, bh + blevel - n))
+            return best_meet;  // final: see "Early exit" in the header
         } else if (best_total <= df + db + 1) {
           return best_meet;  // final: see "Early exit" in the header
         }
@@ -295,25 +346,30 @@ template <bool kContraction, class BusyFn, class EdgeBlockedFn,
 /// in `s` recover the two halves) or graph::kNoVertex if no idle path
 /// exists. `is_busy(v)` and `edge_blocked(e)` gate expansion;
 /// `edge_contracted(e)` marks stuck-on switches crossed as free hops (both
-/// directions). `contraction_live` selects the instantiation: false runs
-/// the weld-free body, which returns at its first final meet (header,
-/// "Early exit"). `visited` accumulates stamped vertices for RouterStats.
-/// Allocation-free.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
+/// directions), and `vertex_welded(v)` must be true at every endpoint of a
+/// contracted switch (it gates the weld work per vertex). `contraction_live`
+/// selects the instantiation: false runs the weld-free body and never calls
+/// either weld predicate. Both bodies return at their first final meet
+/// (header, "Early exit"). `visited` accumulates stamped vertices for
+/// RouterStats. Allocation-free.
+template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn,
+          class VertexWeldedFn>
 [[nodiscard]] graph::VertexId bidir_shortest_idle_path(
     const graph::CsrGraph& g, graph::VertexId src, graph::VertexId dst,
     SearchScratch& s, std::uint64_t& visited, BusyFn&& is_busy,
     EdgeBlockedFn&& edge_blocked, EdgeContractedFn&& edge_contracted,
-    bool contraction_live) {
+    VertexWeldedFn&& vertex_welded, bool contraction_live) {
   if (contraction_live)
     return bidir_shortest_idle_path_impl<true>(
         g, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted));
+        static_cast<EdgeContractedFn&&>(edge_contracted),
+        static_cast<VertexWeldedFn&&>(vertex_welded));
   return bidir_shortest_idle_path_impl<false>(
       g, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
       static_cast<EdgeBlockedFn&&>(edge_blocked),
-      static_cast<EdgeContractedFn&&>(edge_contracted));
+      static_cast<EdgeContractedFn&&>(edge_contracted),
+      static_cast<VertexWeldedFn&&>(vertex_welded));
 }
 
 /// Contraction-free convenience overload (the PR 2 signature): used by
@@ -326,7 +382,8 @@ template <class BusyFn, class EdgeBlockedFn>
   return bidir_shortest_idle_path_impl<false>(
       g, src, dst, s, visited, static_cast<BusyFn&&>(is_busy),
       static_cast<EdgeBlockedFn&&>(edge_blocked),
-      [](graph::EdgeId) { return false; });
+      [](graph::EdgeId) { return false; },
+      [](graph::VertexId) { return false; });
 }
 
 // ---------------------------------------------------------------------------
@@ -337,13 +394,14 @@ template <class BusyFn, class EdgeBlockedFn>
 // ---------------------------------------------------------------------------
 
 template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn>
+          class EdgeContractedFn, class VertexWeldedFn>
 void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
                       const graph::VertexId* dsts, std::size_t n,
                       SearchScratch& s, graph::VertexId* meets,
                       std::uint32_t* totals, std::uint64_t& visited,
                       BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
-                      EdgeContractedFn&& edge_contracted) {
+                      EdgeContractedFn&& edge_contracted,
+                      VertexWeldedFn&& vertex_welded) {
   if (++s.epoch == 0) {
     std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
     std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
@@ -433,9 +491,11 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
       std::size_t cnt = 0;
       for (;;) {
         graph::VertexId u;
+        bool welded = true;  // free-hop stack entries are weld-incident
         if (cnt < flevel) {
           u = s.queue_f[fh++];
           ++cnt;
+          if constexpr (kContraction) welded = vertex_welded(u);
         } else if (kContraction && zt > 0) {
           u = s.zero_f[--zt];
         } else {
@@ -445,9 +505,10 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
         const auto tgts = g.out_targets(u);
         for (std::size_t i = 0; i < eids.size(); ++i) {
           if (edge_blocked(eids[i])) continue;
-          visit_f(tgts[i], u, kContraction && edge_contracted(eids[i]));
+          visit_f(tgts[i], u,
+                  kContraction && welded && edge_contracted(eids[i]));
         }
-        if constexpr (kContraction) {
+        if (kContraction && welded) {
           const auto reids = g.in_edges(u);
           const auto rsrcs = g.in_sources(u);
           for (std::size_t i = 0; i < reids.size(); ++i) {
@@ -495,9 +556,11 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
       std::size_t cnt = 0;
       for (;;) {
         graph::VertexId u;
+        bool welded = true;
         if (cnt < blevel) {
           u = s.queue_b[bh++];
           ++cnt;
+          if constexpr (kContraction) welded = vertex_welded(u);
         } else if (kContraction && zt > 0) {
           u = s.zero_b[--zt];
         } else {
@@ -507,9 +570,10 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
         const auto usrcs = g.in_sources(u);
         for (std::size_t i = 0; i < eids.size(); ++i) {
           if (edge_blocked(eids[i])) continue;
-          visit_b(usrcs[i], u, kContraction && edge_contracted(eids[i]));
+          visit_b(usrcs[i], u,
+                  kContraction && welded && edge_contracted(eids[i]));
         }
-        if constexpr (kContraction) {
+        if (kContraction && welded) {
           const auto reids = g.out_edges(u);
           const auto rtgts = g.out_targets(u);
           for (std::size_t i = 0; i < reids.size(); ++i) {
@@ -534,24 +598,29 @@ void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
 /// (kNoVertex = no meet THIS wave — demote, do not reject) and totals[r]
 /// with its path length in edges. Parent chains are recovered from the
 /// scratch exactly as for the single search; a request's chains only cross
-/// vertices carrying its label. Allocation-free.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn>
+/// vertices carrying its label. The weld predicates and `contraction_live`
+/// are the single search's. Allocation-free.
+template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn,
+          class VertexWeldedFn>
 void wave_search(const graph::CsrGraph& g, const graph::VertexId* srcs,
                  const graph::VertexId* dsts, std::size_t n, SearchScratch& s,
                  graph::VertexId* meets, std::uint32_t* totals,
                  std::uint64_t& visited, BusyFn&& is_busy,
                  EdgeBlockedFn&& edge_blocked,
-                 EdgeContractedFn&& edge_contracted, bool contraction_live) {
+                 EdgeContractedFn&& edge_contracted,
+                 VertexWeldedFn&& vertex_welded, bool contraction_live) {
   if (contraction_live)
     return wave_search_impl<true>(
         g, srcs, dsts, n, s, meets, totals, visited,
         static_cast<BusyFn&&>(is_busy),
         static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted));
+        static_cast<EdgeContractedFn&&>(edge_contracted),
+        static_cast<VertexWeldedFn&&>(vertex_welded));
   wave_search_impl<false>(g, srcs, dsts, n, s, meets, totals, visited,
                           static_cast<BusyFn&&>(is_busy),
                           static_cast<EdgeBlockedFn&&>(edge_blocked),
-                          static_cast<EdgeContractedFn&&>(edge_contracted));
+                          static_cast<EdgeContractedFn&&>(edge_contracted),
+                          static_cast<VertexWeldedFn&&>(vertex_welded));
 }
 
 }  // namespace ftcs::core::detail

@@ -8,19 +8,31 @@
 //    paths and verdicts must be identical, the kernel must visit fewer
 //    vertices, and a 1-worker ConcurrentRouter must stay path-for-path
 //    identical to GreedyRouter.
-//  - Welds (stuck-on switches): the kernel finishes every level, crosses
-//    welds as free hops in both directions (including reverse conduction
-//    against the edge direction), and settles electrically sound paths.
+//  - Welded path identity: with stuck-on switches live, the kernel gates
+//    the weld work per weld-incident vertex and exits once no free hop is
+//    left in the level. The same lockstep churn on 𝒩̂ and cantor-k7, with
+//    sparse and dense welds plus open failures, compares every settled
+//    path with a test-local copy of the full-level welded body (reverse
+//    scans at every vertex, no exit); sparse welds must cost fewer visits.
+//    The weld map must follow hitless growth on both engines, under the
+//    identity and the locality vmap.
+//  - Welds: the kernel crosses welds as free hops in both directions
+//    (including reverse conduction against the edge direction) and settles
+//    electrically sound paths.
 //  - Degraded overlay: failed switches keep both engines' books identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ftcs/concurrent_router.hpp"
 #include "ftcs/ft_network.hpp"
 #include "ftcs/params.hpp"
 #include "ftcs/router.hpp"
+#include "ftcs/search.hpp"
+#include "graph/digraph.hpp"
 #include "networks/cantor.hpp"
 #include "util/prng.hpp"
 
@@ -99,27 +111,211 @@ RefResult reference_search(const graph::CsrGraph& g, graph::VertexId src,
   return r;
 }
 
-/// Idle-pair churn (both terminals idle on every connect, occupancy capped
-/// at 80%) through a GreedyRouter and a 1-worker ConcurrentRouter in
-/// lockstep, with `faults` seeded open-failed switches on both. Every
-/// connect is checked against the full-level reference.
-void expect_early_exit_matches_reference(const graph::Network& net,
-                                         std::size_t faults,
-                                         std::uint64_t seed,
-                                         std::size_t ops) {
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter conc(net, 1);
-  auto& worker = conc.worker(0);
-  util::Xoshiro256 rng(seed);
-  for (std::size_t k = 0; k < faults; ++k) {
-    const auto e = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
-    greedy.fail_edge(e);
-    conc.fail_edge(e);
+/// The full-level welded search: the contraction body of the kernel as it
+/// was before the per-vertex weld gate and the welded early exit, with the
+/// compile-time branch folded. Every expanded vertex scans its reverse
+/// edges for welds and every level runs to its end. `r` supplies the busy
+/// mask and the overlay.
+template <class Router>
+RefResult welded_reference(const graph::CsrGraph& g, graph::VertexId src,
+                           graph::VertexId dst, const Router& r,
+                           core::detail::SearchScratch& s) {
+  RefResult res;
+  if (r.is_busy(src) || r.is_busy(dst)) return res;
+  const auto is_busy = [&r](graph::VertexId v) { return r.is_busy(v); };
+  const auto edge_blocked = [&r](graph::EdgeId e) {
+    return !r.edge_usable(e);
+  };
+  const auto edge_contracted = [&r](graph::EdgeId e) {
+    return r.edge_contracted(e);
+  };
+  std::uint64_t& visited = res.visits;
+  if (++s.epoch == 0) {
+    std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
+    std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
+    s.epoch = 1;
   }
+  graph::VertexId best_meet = kNone;
+  std::uint32_t best_total = kNone;
+  s.epoch_f[src] = s.epoch;
+  s.parent_f[src] = kNone;
+  s.dist_f[src] = 0;
+  s.epoch_b[dst] = s.epoch;
+  s.parent_b[dst] = kNone;
+  s.dist_b[dst] = 0;
+  std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
+  s.queue_f[ft++] = src;
+  s.queue_b[bt++] = dst;
+  std::size_t flevel = 1, blevel = 1;
+  std::uint32_t df = 0, db = 0;
+
+  while (flevel > 0 && blevel > 0 && best_total > df + db + 1) {
+    if (flevel <= blevel) {
+      std::size_t next_level = 0;
+      std::size_t zt = 0;
+      const auto visit_f = [&](graph::VertexId v, graph::VertexId u,
+                               bool free) {
+        if (s.epoch_f[v] == s.epoch) return;
+        s.epoch_f[v] = s.epoch;
+        ++visited;
+        if (is_busy(v)) {
+          s.parent_f[v] = kNone;
+          return;
+        }
+        s.parent_f[v] = u;
+        const std::uint32_t dv = free ? df : df + 1;
+        s.dist_f[v] = dv;
+        if (s.epoch_b[v] == s.epoch && s.parent_b[v] != kNone) {
+          const std::uint32_t total = dv + s.dist_b[v];
+          if (total < best_total) {
+            best_total = total;
+            best_meet = v;
+          }
+          return;
+        }
+        if (v == dst) {
+          if (dv < best_total) {
+            best_total = dv;
+            best_meet = v;
+          }
+          return;
+        }
+        if (free) {
+          s.zero_f[zt++] = v;
+        } else {
+          s.queue_f[ft++] = v;
+          ++next_level;
+        }
+      };
+      std::size_t n = 0;
+      for (;;) {
+        graph::VertexId u;
+        if (n < flevel) {
+          u = s.queue_f[fh++];
+          ++n;
+        } else if (zt > 0) {
+          u = s.zero_f[--zt];
+        } else {
+          break;
+        }
+        const auto eids = g.out_edges(u);
+        const auto tgts = g.out_targets(u);
+        for (std::size_t i = 0; i < eids.size(); ++i) {
+          if (edge_blocked(eids[i])) continue;
+          visit_f(tgts[i], u, edge_contracted(eids[i]));
+        }
+        const auto reids = g.in_edges(u);
+        const auto rsrcs = g.in_sources(u);
+        for (std::size_t i = 0; i < reids.size(); ++i) {
+          if (!edge_contracted(reids[i]) || edge_blocked(reids[i])) continue;
+          visit_f(rsrcs[i], u, true);
+        }
+      }
+      flevel = next_level;
+      ++df;
+    } else {
+      std::size_t next_level = 0;
+      std::size_t zt = 0;
+      const auto visit_b = [&](graph::VertexId v, graph::VertexId u,
+                               bool free) {
+        if (s.epoch_b[v] == s.epoch) return;
+        s.epoch_b[v] = s.epoch;
+        ++visited;
+        if (is_busy(v)) {
+          s.parent_b[v] = kNone;
+          return;
+        }
+        s.parent_b[v] = u;
+        const std::uint32_t dv = free ? db : db + 1;
+        s.dist_b[v] = dv;
+        if (s.epoch_f[v] == s.epoch &&
+            (s.parent_f[v] != kNone || v == src)) {
+          const std::uint32_t total = s.dist_f[v] + dv;
+          if (total < best_total) {
+            best_total = total;
+            best_meet = v;
+          }
+          return;
+        }
+        if (free) {
+          s.zero_b[zt++] = v;
+        } else {
+          s.queue_b[bt++] = v;
+          ++next_level;
+        }
+      };
+      std::size_t n = 0;
+      for (;;) {
+        graph::VertexId u;
+        if (n < blevel) {
+          u = s.queue_b[bh++];
+          ++n;
+        } else if (zt > 0) {
+          u = s.zero_b[--zt];
+        } else {
+          break;
+        }
+        const auto eids = g.in_edges(u);
+        const auto srcs = g.in_sources(u);
+        for (std::size_t i = 0; i < eids.size(); ++i) {
+          if (edge_blocked(eids[i])) continue;
+          visit_b(srcs[i], u, edge_contracted(eids[i]));
+        }
+        const auto reids = g.out_edges(u);
+        const auto rtgts = g.out_targets(u);
+        for (std::size_t i = 0; i < reids.size(); ++i) {
+          if (!edge_contracted(reids[i]) || edge_blocked(reids[i])) continue;
+          visit_b(rtgts[i], u, true);
+        }
+      }
+      blevel = next_level;
+      ++db;
+    }
+  }
+  if (best_meet == kNone) return res;
+  for (graph::VertexId v = best_meet; v != kNone; v = s.parent_f[v])
+    res.path.insert(res.path.begin(), v);
+  for (graph::VertexId v = best_meet; v != dst;)
+    res.path.push_back(v = s.parent_b[v]);
+  return res;
+}
+
+struct Churn {
+  std::vector<core::GreedyRouter::CallId> active;  // same ids on both engines
+  std::uint64_t ref_visits = 0;  // the reference's visits, summed
+  std::size_t compared = 0;      // settled paths checked
+  std::size_t welded = 0;        // ...of which cross a stuck-on switch
+};
+
+/// Does `path` cross a stuck-on switch (either direction)?
+bool crosses_weld(const core::GreedyRouter& r, const graph::CsrGraph& g,
+                  const std::vector<graph::VertexId>& path) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    for (const auto& [a, b] : {std::pair{path[i], path[i + 1]},
+                               std::pair{path[i + 1], path[i]}}) {
+      const auto eids = g.out_edges(a);
+      const auto tgts = g.out_targets(a);
+      for (std::size_t k = 0; k < eids.size(); ++k)
+        if (tgts[k] == b && r.edge_usable(eids[k]) &&
+            r.edge_contracted(eids[k]))
+          return true;
+    }
+  }
+  return false;
+}
+
+/// Idle-pair churn (both terminals idle on every connect, occupancy capped
+/// at 80%) through a GreedyRouter and its 1-worker ConcurrentRouter twin in
+/// lockstep. `reference(in, out)` runs before each connect on the routers'
+/// shared state; verdict and path must match it, and the kernel may not
+/// visit more vertices than it. Calls left in `churn.active` stay live.
+template <class Reference>
+void lockstep_churn(const graph::Network& net, core::GreedyRouter& greedy,
+                    core::ConcurrentRouter& conc, util::Xoshiro256& rng,
+                    std::size_t ops, Reference&& reference, Churn& churn) {
+  auto& worker = conc.worker(0);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  std::vector<core::GreedyRouter::CallId> active;
-  std::uint64_t ref_visits = 0;
-  std::size_t compared = 0;
+  auto& active = churn.active;
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() &&
         (active.size() * 5 >= std::size_t{n} * 4 || rng.below(2) == 0)) {
@@ -135,8 +331,7 @@ void expect_early_exit_matches_reference(const graph::Network& net,
     while (!greedy.input_idle(in));
     do out = static_cast<std::uint32_t>(rng.below(n));
     while (!greedy.output_idle(out));
-    const auto ref = reference_search(net.g, net.inputs[in], net.outputs[out],
-                                      greedy.busy_mask(), greedy);
+    const RefResult ref = reference(in, out);
     const std::uint64_t visits_before = greedy.stats().vertices_visited;
     const auto call = greedy.connect(in, out);
     const auto wcall = worker.connect(in, out);
@@ -144,23 +339,54 @@ void expect_early_exit_matches_reference(const graph::Network& net,
     ASSERT_EQ(call == core::GreedyRouter::kNoCall, ref.path.empty())
         << "verdict differs from the full-level reference at op " << op;
     EXPECT_LE(greedy.stats().vertices_visited - visits_before, ref.visits);
-    ref_visits += ref.visits;
+    churn.ref_visits += ref.visits;
     if (call == core::GreedyRouter::kNoCall) continue;
     const auto path = greedy.path_of(call);
     ASSERT_EQ(path, ref.path) << "path differs from the reference at op " << op;
     ASSERT_EQ(worker.path_of(wcall), path);
     active.push_back(call);
-    ++compared;
+    ++churn.compared;
+    churn.welded += crosses_weld(greedy, net.g, path);
   }
-  EXPECT_GT(compared, ops / 4);
+}
+
+/// Both engines' books agree, down to the visit count.
+void expect_twins(const core::GreedyRouter& greedy,
+                  const core::ConcurrentRouter& conc) {
   const auto& gs = greedy.stats();
-  // The exit skips the rest of the meeting level: ~37% fewer visits on 𝒩̂,
-  // ~25% on Cantor.
-  EXPECT_LT(gs.vertices_visited, ref_visits);
   EXPECT_EQ(gs.vertices_visited, conc.stats().vertices_visited);
   EXPECT_EQ(gs.accepted, conc.stats().accepted);
   EXPECT_EQ(gs.rejected_no_path, conc.stats().rejected_no_path);
   EXPECT_EQ(greedy.busy_vertices(), conc.busy_vertices());
+}
+
+/// Weld-free lockstep churn with `faults` seeded open-failed switches on
+/// both engines, checked against the full-level reference_search.
+void expect_early_exit_matches_reference(const graph::Network& net,
+                                         std::size_t faults,
+                                         std::uint64_t seed,
+                                         std::size_t ops) {
+  core::GreedyRouter greedy(net);
+  core::ConcurrentRouter conc(net, 1);
+  util::Xoshiro256 rng(seed);
+  for (std::size_t k = 0; k < faults; ++k) {
+    const auto e = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
+    greedy.fail_edge(e);
+    conc.fail_edge(e);
+  }
+  Churn churn;
+  lockstep_churn(net, greedy, conc, rng, ops,
+                 [&](std::uint32_t in, std::uint32_t out) {
+                   return reference_search(net.g, net.inputs[in],
+                                           net.outputs[out],
+                                           greedy.busy_mask(), greedy);
+                 },
+                 churn);
+  EXPECT_GT(churn.compared, ops / 4);
+  // The exit skips the rest of the meeting level: ~37% fewer visits on 𝒩̂,
+  // ~25% on Cantor.
+  EXPECT_LT(greedy.stats().vertices_visited, churn.ref_visits);
+  expect_twins(greedy, conc);
 }
 
 TEST(SearchEarlyExit, NhatSettlesFullLevelReferencePaths) {
@@ -179,6 +405,136 @@ TEST(SearchEarlyExit, CantorK7SettlesFullLevelReferencePaths) {
   const auto net = networks::build_cantor({7, 0});
   expect_early_exit_matches_reference(net, 0, 31, 3000);
   expect_early_exit_matches_reference(net, 40, 32, 3000);
+}
+
+// ---------------------------------------------------------------------------
+// Welded path identity.
+// ---------------------------------------------------------------------------
+
+/// Seeds `welds` stuck-on and `opens` open-failed switches on both engines.
+void seed_faults(const graph::Network& net, core::GreedyRouter& greedy,
+                 core::ConcurrentRouter& conc, util::Xoshiro256& rng,
+                 std::size_t welds, std::size_t opens) {
+  const auto pick = [&] {
+    return static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
+  };
+  for (std::size_t k = 0; k < welds; ++k) {
+    const auto e = pick();
+    greedy.contract_edge(e);
+    conc.contract_edge(e);
+  }
+  for (std::size_t k = 0; k < opens; ++k) {
+    const auto e = pick();
+    greedy.fail_edge(e);
+    conc.fail_edge(e);
+  }
+}
+
+/// Welded lockstep churn, checked against the full-level welded body.
+/// Returns the churn tally; the visit comparison is the caller's.
+Churn welded_churn(const graph::Network& net, std::size_t welds,
+                   std::size_t opens, std::uint64_t seed, std::size_t ops,
+                   core::GreedyRouter& greedy, core::ConcurrentRouter& conc) {
+  util::Xoshiro256 rng(seed);
+  seed_faults(net, greedy, conc, rng, welds, opens);
+  core::detail::SearchScratch scratch;
+  scratch.init(net.g.vertex_count());
+  Churn churn;
+  lockstep_churn(net, greedy, conc, rng, ops,
+                 [&](std::uint32_t in, std::uint32_t out) {
+                   return welded_reference(net.g, net.inputs[in],
+                                           net.outputs[out], greedy, scratch);
+                 },
+                 churn);
+  EXPECT_GT(churn.compared, ops / 4);
+  expect_twins(greedy, conc);
+  return churn;
+}
+
+/// Sparse welds (the storm's ~14 live welds plus its open failures): the
+/// gate and the exit must cut visits. Dense welds: paths must still match
+/// and many of them must cross a weld.
+void expect_welded_matches_reference(const graph::Network& net,
+                                     std::uint64_t seed, std::size_t ops) {
+  {
+    core::GreedyRouter greedy(net);
+    core::ConcurrentRouter conc(net, 1);
+    const Churn sparse = welded_churn(net, 14, 33, seed, ops, greedy, conc);
+    EXPECT_LT(greedy.stats().vertices_visited, sparse.ref_visits);
+  }
+  {
+    core::GreedyRouter greedy(net);
+    core::ConcurrentRouter conc(net, 1);
+    const Churn dense = welded_churn(net, 200, 33, seed + 1, ops, greedy, conc);
+    EXPECT_LE(greedy.stats().vertices_visited, dense.ref_visits);
+    EXPECT_GT(dense.welded, 0u);
+  }
+}
+
+TEST(SearchWeldedExit, NhatSettlesFullLevelWeldedPaths) {
+  const auto ft = core::build_ft_network(core::FtParams::sim(3, 8, 6, 1, 3));
+  expect_welded_matches_reference(ft.net, 41, 1500);
+}
+
+TEST(SearchWeldedExit, CantorK7SettlesFullLevelWeldedPaths) {
+  const auto net = networks::build_cantor({7, 0});
+  expect_welded_matches_reference(net, 51, 1500);
+}
+
+TEST(SearchWeldedExit, WeldMapFollowsGrowth) {
+  // Live welds and calls ride across grow() on both engines. The weld map
+  // must be the endpoints of the carried (and later) welds in the grown id
+  // space, and every later connect must settle the full-level welded
+  // body's path on the grown router's own state.
+  for (const auto relabel :
+       {graph::RelabelMode::kNone, graph::RelabelMode::kLocality}) {
+    SCOPED_TRACE(graph::to_string(relabel));
+    const auto base = networks::build_cantor({5, 0});
+    const graph::GrownNetwork grown =
+        networks::grow_cantor(base, {5, 0}, {relabel});
+    core::GreedyRouter greedy(base);
+    core::ConcurrentRouter conc(base, 1);
+    util::Xoshiro256 rng(61);
+    seed_faults(base, greedy, conc, rng, 120, 10);
+    core::detail::SearchScratch scratch;
+    scratch.init(base.g.vertex_count());
+    Churn churn;
+    lockstep_churn(base, greedy, conc, rng, 300,
+                   [&](std::uint32_t in, std::uint32_t out) {
+                     return welded_reference(base.g, base.inputs[in],
+                                             base.outputs[out], greedy,
+                                             scratch);
+                   },
+                   churn);
+    ASSERT_FALSE(churn.active.empty());
+
+    greedy.grow(grown.net, grown.vmap);
+    conc.grow(grown.net, grown.vmap);
+    // More welds, now over the grown switch set (appended ids included).
+    seed_faults(grown.net, greedy, conc, rng, 120, 0);
+    const graph::CsrGraph& g = grown.net.g;
+    std::vector<std::uint8_t> welded(g.vertex_count(), 0);
+    for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+      if (!greedy.edge_contracted(e)) continue;
+      welded[g.edge(e).from] = welded[g.edge(e).to] = 1;
+    }
+    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
+      ASSERT_EQ(greedy.vertex_welded(v), welded[v] != 0) << "vertex " << v;
+      ASSERT_EQ(conc.vertex_welded(v), welded[v] != 0) << "vertex " << v;
+    }
+
+    scratch.init(g.vertex_count());
+    const std::size_t before = churn.welded;
+    lockstep_churn(grown.net, greedy, conc, rng, 600,
+                   [&](std::uint32_t in, std::uint32_t out) {
+                     return welded_reference(g, grown.net.inputs[in],
+                                             grown.net.outputs[out], greedy,
+                                             scratch);
+                   },
+                   churn);
+    EXPECT_GT(churn.welded, before);
+    expect_twins(greedy, conc);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -275,8 +631,9 @@ TEST(SearchWelds, StarReverseConductionWeld) {
 TEST(SearchWelds, GreedyWeldedTraceVerdictParity) {
   // Stateless welded trace on cantor: route one pair at a time (connect,
   // check, disconnect) with a handful of switches stuck on. Both engines
-  // run the same full-level contraction body, so verdicts and paths must
-  // agree, and every settled path must be electrically sound hop by hop.
+  // run the same welded body (per-vertex weld gate, welded early exit), so
+  // verdicts and paths must agree, and every settled path must be
+  // electrically sound hop by hop.
   const auto net = networks::build_cantor({4, 0});
   core::GreedyRouter a(net);
   core::ConcurrentRouter b(net, 1);
