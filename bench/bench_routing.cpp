@@ -911,7 +911,6 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
           << ", \"epochs\": " << p.epochs << ", \"deferred\": " << p.deferred
           << ", \"refused\": " << p.refused
           << ", \"visits_per_connect\": " << p.visits_per_connect()
-          << ", \"wave_epochs\": " << p.stats.wave_epochs
           << ", \"claim_conflicts\": " << p.stats.claim_conflicts << ", "
           << reject_key(svc::RejectReason::kContention,
                         p.stats.rejected_contention)
@@ -928,11 +927,10 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
     }
     out << "  ]},\n";
 
-    // Wave-plane showcase on the DEEP network: cantor-k7's searches explore
-    // ~1000 vertices per solo connect, so one shared wave per admission
-    // chunk is where the visit amortization shows up the most. One big
-    // window (batch 512 across the sessions = 64-request waves at x8),
-    // same epoch mix as the k5 series.
+    // The batched plane on the DEEP network: cantor-k7's searches explore
+    // ~1000 vertices per connect, so search cost rather than admission
+    // overhead dominates each epoch. One big window (batch 512 across the
+    // sessions = 64-request chunks at x8), same epoch mix as the k5 series.
     const auto k7 = batched_churn(networks::build_cantor({7, 0}), max_threads,
                                   512, bench::scaled(20'000));
     out << "  \"batched_admission_k7\": {\"network\": \"cantor-k7\", "
@@ -943,7 +941,6 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
         << ", \"epochs\": " << k7.epochs << ", \"deferred\": " << k7.deferred
         << ", \"refused\": " << k7.refused
         << ", \"visits_per_connect\": " << k7.visits_per_connect()
-        << ", \"wave_epochs\": " << k7.stats.wave_epochs
         << ", \"claim_conflicts\": " << k7.stats.claim_conflicts << ", "
         << reject_key(svc::RejectReason::kContention,
                       k7.stats.rejected_contention)
@@ -1091,7 +1088,7 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
                 << " vs " << rl[i + 1].m.visits_per_connect() << ")\n";
   }
 
-  // Affinity A/B: the batched wave churn with the drain pool pinned under
+  // Affinity A/B: the batched churn with the drain pool pinned under
   // each policy (sessions homed to terminal ranges so a pinned worker's CAS
   // traffic stays in its own cache domain). The REQUESTED policy keys the
   // series so baselines recorded on different hosts still line up; the
@@ -1127,7 +1124,6 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
           << "\", \"connects\": " << r.p.connects << ", \"calls_per_sec\": "
           << static_cast<std::uint64_t>(r.p.calls_per_sec())
           << ", \"visits_per_connect\": " << r.p.visits_per_connect()
-          << ", \"wave_epochs\": " << r.p.stats.wave_epochs
           << ", \"claim_conflicts\": " << r.p.stats.claim_conflicts << ", "
           << reject_key(svc::RejectReason::kContention,
                         r.p.stats.rejected_contention)

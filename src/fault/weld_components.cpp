@@ -10,7 +10,16 @@ WeldComponents::WeldComponents(const graph::Network& net) : net_(&net) {
   is_terminal_.assign(n, 0);
   for (graph::VertexId v : net.inputs) is_terminal_[v] = 1;
   for (graph::VertexId v : net.outputs) is_terminal_[v] = 1;
-  rebuild();
+  dsu_.reset(n);
+  terminal_count_.assign(n, 0);
+  terminal_rep_.assign(n, graph::kNoVertex);
+  terminal_rep2_.assign(n, graph::kNoVertex);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (is_terminal_[v]) {
+      terminal_count_[v] = 1;
+      terminal_rep_[v] = v;
+    }
+  }
 }
 
 void WeldComponents::contract(graph::EdgeId e) {
@@ -50,20 +59,14 @@ void WeldComponents::contract(graph::EdgeId e) {
                          static_cast<std::size_t>(was_b);
 }
 
-void WeldComponents::rebuild() {
-  const std::size_t n = net_->g.vertex_count();
-  dsu_.reset(n);
-  terminal_count_.assign(n, 0);
-  terminal_rep_.assign(n, graph::kNoVertex);
-  terminal_rep2_.assign(n, graph::kNoVertex);
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (is_terminal_[v]) {
-      terminal_count_[v] = 1;
-      terminal_rep_[v] = v;
-    }
+void WeldComponents::isolate_endpoints(graph::EdgeId e) {
+  const graph::Edge& ed = net_->g.edge(e);
+  for (const graph::VertexId v : {ed.from, ed.to}) {
+    dsu_.reset_vertex(v);
+    terminal_count_[v] = is_terminal_[v];
+    terminal_rep_[v] = is_terminal_[v] ? v : graph::kNoVertex;
+    terminal_rep2_[v] = graph::kNoVertex;
   }
-  shorted_components_ = 0;
-  for (graph::EdgeId e : welds_) contract(e);
 }
 
 bool WeldComponents::add_weld(graph::EdgeId e) {
@@ -80,7 +83,13 @@ bool WeldComponents::remove_weld(graph::EdgeId e) {
   is_welded_[e] = 0;
   welds_.erase(std::find(welds_.begin(), welds_.end(), e));
   const bool was = shorted();
-  rebuild();
+  // Every vertex a weld ever touched is an endpoint of `e` or of a
+  // survivor, and each non-singleton node consists of such endpoints only:
+  // resetting them resets whole nodes, back to the healthy state.
+  isolate_endpoints(e);
+  for (const graph::EdgeId w : welds_) isolate_endpoints(w);
+  shorted_components_ = 0;
+  for (const graph::EdgeId w : welds_) contract(w);
   return was && !shorted();
 }
 

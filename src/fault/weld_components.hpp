@@ -8,10 +8,13 @@
 // catastrophe is two distinct terminals landing in the same node — from that
 // moment the exchange is electrically compromised no matter what the router
 // does. WeldComponents maintains the contraction union-find incrementally:
-//   add_weld(e)    unites e's endpoints            — O(α) amortized
-//   remove_weld(e) rebuilds from the surviving set — O(V + welds·α)
-// (union-find does not un-union; welds are rare and repairs rarer, so the
-// rebuild is the right trade — inject() stays O(α) on the hot path).
+//   add_weld(e)    unites e's endpoints                  — O(α) amortized
+//   remove_weld(e) resets the endpoints of e and of the surviving welds,
+//                  then re-contracts the survivors     — O(welds·α)
+// (union-find does not un-union. Only a weld endpoint ever leaves its
+// singleton node, so resetting those vertices restores the healthy state
+// without touching the other V; a repair costs the live welds, not the
+// network, and inject() stays O(α).)
 //
 // Open failures never enter: an open switch ceases to exist and contracts
 // nothing (exactly FaultInstance::contraction(), which unites kClosedFail
@@ -57,9 +60,9 @@ class WeldComponents {
   /// shorted (the Lemma 7 raise edge). Idempotent per edge.
   bool add_weld(graph::EdgeId e);
 
-  /// Records switch `e` repaired and rebuilds the contraction from the
-  /// surviving welds. Returns true iff the repair flipped the exchange from
-  /// shorted back to un-shorted (the clear edge). Idempotent per edge.
+  /// Records switch `e` repaired and re-contracts the surviving welds.
+  /// Returns true iff the repair flipped the exchange from shorted back to
+  /// un-shorted (the clear edge). Idempotent per edge.
   bool remove_weld(graph::EdgeId e);
 
   /// True iff some electrical node currently holds >= 2 distinct terminals
@@ -79,7 +82,9 @@ class WeldComponents {
   }
 
  private:
-  void rebuild();
+  /// Returns both endpoints of `e` to singleton nodes with their healthy
+  /// terminal census (one half of a whole-class reset, see remove_weld).
+  void isolate_endpoints(graph::EdgeId e);
   /// Unites a weld's endpoints and maintains the per-node terminal census.
   void contract(graph::EdgeId e);
 

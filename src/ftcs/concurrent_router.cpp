@@ -145,15 +145,6 @@ void ConcurrentRouter::Worker::ensure_scratch() {
       std::min(r.net_->inputs.size(), r.net_->outputs.size()) + 1;
   calls_.reserve(max_calls);
   free_slots_.reserve(max_calls);
-  // Wave scratch: a wave holds at most one request per terminal slot, so
-  // max_calls bounds the active set (the window surplus defers).
-  wave_src_.reserve(max_calls);
-  wave_dst_.reserve(max_calls);
-  wave_meet_.reserve(max_calls);
-  wave_total_.reserve(max_calls);
-  wave_slot_.reserve(max_calls);
-  in_holder_.assign(r.net_->inputs.size(), kNoItem);
-  out_holder_.assign(r.net_->outputs.size(), kNoItem);
 }
 
 ConcurrentRouter::CallId ConcurrentRouter::Worker::connect(std::uint32_t in,
@@ -177,15 +168,6 @@ ConcurrentRouter::CallId ConcurrentRouter::Worker::connect(std::uint32_t in,
     ++stats_.rejected_terminal;
     return kNoCall;
   }
-  CallId id = kNoCall;
-  connect_held(in, out, id);
-  return id;
-}
-
-WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
-                                                  std::uint32_t out,
-                                                  CallId& id) {
-  ConcurrentRouter& r = *r_;
   const graph::VertexId src = r.net_->inputs[in];
   const graph::VertexId dst = r.net_->outputs[out];
 
@@ -197,7 +179,7 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
     r.out_busy_.reset(out);
     r.in_busy_.reset(in);
     ++stats_.rejected_no_path;
-    return WaveReject::kNoPath;
+    return kNoCall;
   }
 
   const bool edge_faults = !r.blocked_edges_.empty();
@@ -228,7 +210,7 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
       r.out_busy_.reset(out);
       r.in_busy_.reset(in);
       ++stats_.rejected_no_path;
-      return WaveReject::kNoPath;
+      return kNoCall;
     }
 
     // Materialize src..dst into path_buf_ from the two parent chains.
@@ -262,7 +244,7 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
         r.out_busy_.reset(out);
         r.in_busy_.reset(in);
         ++stats_.rejected_contention;
-        return WaveReject::kContention;
+        return kNoCall;
       }
       ++stats_.search_retries;
       continue;
@@ -276,22 +258,14 @@ WaveReject ConcurrentRouter::Worker::connect_held(std::uint32_t in,
       r.out_busy_.reset(out);
       r.in_busy_.reset(in);
       ++stats_.rejected_contention;
-      return WaveReject::kContention;
+      return kNoCall;
     }
     ++stats_.search_retries;
   }
 
-  // 5. Settle: we own every path vertex.
-  id = settle_owned(in, out);
-  return WaveReject::kNone;
-}
-
-ConcurrentRouter::CallId ConcurrentRouter::Worker::settle_owned(
-    std::uint32_t in, std::uint32_t out) {
-  // We own every vertex of path_buf_, so the successor-array writes are
-  // exclusive; they become visible to the next claimer of each vertex via
-  // the release/acquire pairing on its busy bit.
-  ConcurrentRouter& r = *r_;
+  // 5. Settle: we own every vertex of path_buf_, so the successor-array
+  // writes are exclusive; they become visible to the next claimer of each
+  // vertex via the release/acquire pairing on its busy bit.
   const auto length = static_cast<std::uint32_t>(path_buf_.size());
   for (std::size_t i = 0; i < path_buf_.size(); ++i)
     r.path_next_[path_buf_[i]] =
@@ -311,223 +285,6 @@ ConcurrentRouter::CallId ConcurrentRouter::Worker::settle_owned(
   }
   calls_[id] = {in, out, path_buf_.front(), length};
   return id;
-}
-
-void ConcurrentRouter::Worker::connect_wave(WaveItem* items, std::size_t n) {
-  ConcurrentRouter& r = *r_;
-  ensure_scratch();
-  for (std::size_t i = 0; i < n; ++i) {
-    ++stats_.connect_calls;
-    items[i].call = kNoCall;
-    items[i].path_length = 0;
-    items[i].reject = WaveReject::kNone;
-  }
-  wave_admitted_.assign(n, 0);
-  wave_attempts_.assign(n, 0);
-  std::size_t unresolved = n;
-
-  const auto is_resolved = [](const WaveItem& it) {
-    return it.call != kNoCall || it.reject != WaveReject::kNone;
-  };
-  const auto drop_holders = [&](std::size_t i, const WaveItem& it) {
-    if (in_holder_[it.in] == static_cast<std::uint32_t>(i))
-      in_holder_[it.in] = kNoItem;
-    if (out_holder_[it.out] == static_cast<std::uint32_t>(i))
-      out_holder_[it.out] = kNoItem;
-  };
-
-  // Round loop. Every round resolves at least one item (a settle, a reject,
-  // or the solo fallback), so it runs at most n times.
-  while (unresolved > 0) {
-    // Admission (step 1 per item, once): CAS both terminal slots as a
-    // tentative hold. A slot held by an UNRESOLVED window-mate defers the
-    // claimant — waiting for the mate's verdict is exactly the order
-    // sequential window routing would produce; a slot held by a settled
-    // mate or a foreign session is a final kTerminal.
-    wave_src_.clear();
-    wave_dst_.clear();
-    wave_slot_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      WaveItem& it = items[i];
-      if (is_resolved(it)) continue;
-      if (!wave_admitted_[i]) {
-        if (r.blocked_.test(r.net_->inputs[it.in]) ||
-            r.blocked_.test(r.net_->outputs[it.out])) {
-          it.reject = WaveReject::kTerminal;
-          ++stats_.rejected_terminal;
-          --unresolved;
-          continue;
-        }
-        if (!r.in_busy_.try_set(it.in)) {
-          const std::uint32_t h = in_holder_[it.in];
-          if (h != kNoItem && !is_resolved(items[h])) continue;  // defer
-          it.reject = WaveReject::kTerminal;
-          ++stats_.rejected_terminal;
-          --unresolved;
-          continue;
-        }
-        if (!r.out_busy_.try_set(it.out)) {
-          r.in_busy_.reset(it.in);
-          const std::uint32_t h = out_holder_[it.out];
-          if (h != kNoItem && !is_resolved(items[h])) continue;  // defer
-          it.reject = WaveReject::kTerminal;
-          ++stats_.rejected_terminal;
-          --unresolved;
-          continue;
-        }
-        in_holder_[it.in] = static_cast<std::uint32_t>(i);
-        out_holder_[it.out] = static_cast<std::uint32_t>(i);
-        wave_admitted_[i] = 1;
-      }
-      const graph::VertexId src = r.net_->inputs[it.in];
-      const graph::VertexId dst = r.net_->outputs[it.out];
-      // Dirty-snapshot read, re-checked every round: a terminal vertex
-      // occupied as an intermediate hop of another call can never anchor a
-      // path (one call per successor-array entry).
-      if (r.busy_.test(src) || r.busy_.test(dst)) {
-        r.out_busy_.reset(it.out);
-        r.in_busy_.reset(it.in);
-        drop_holders(i, it);
-        it.reject = WaveReject::kNoPath;
-        ++stats_.rejected_no_path;
-        --unresolved;
-        continue;
-      }
-      wave_src_.push_back(src);
-      wave_dst_.push_back(dst);
-      wave_slot_.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (wave_slot_.empty()) {
-      // Unreachable while the defer discipline holds (a deferred item's
-      // holder is admitted and therefore in the wave); resolve defensively
-      // rather than spin.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (is_resolved(items[i])) continue;
-        items[i].reject = WaveReject::kContention;
-        ++stats_.rejected_contention;
-        --unresolved;
-      }
-      break;
-    }
-
-    const std::size_t m = wave_slot_.size();
-    ++stats_.wave_epochs;
-    if (m == 1) {
-      // A solo round IS a per-request connect with terminals pre-held, so
-      // its verdict is final either way.
-      const std::size_t i = wave_slot_[0];
-      WaveItem& it = items[i];
-      CallId id = kNoCall;
-      const WaveReject verdict = connect_held(it.in, it.out, id);
-      if (verdict == WaveReject::kNone) {
-        it.call = id;
-        it.path_length = static_cast<std::uint32_t>(calls_[id].length);
-      } else {
-        drop_holders(i, it);
-        it.reject = verdict;
-      }
-      --unresolved;
-      continue;
-    }
-
-    // Step 2, amortized: ONE shared search wave over every admitted
-    // request, on the usual dirty busy/overlay snapshot.
-    wave_meet_.resize(m);
-    wave_total_.resize(m);
-    const bool edge_faults = !r.blocked_edges_.empty();
-    const bool overlay = r.overlay_active_.load(std::memory_order_acquire);
-    const bool contraction =
-        r.contracted_count_.load(std::memory_order_acquire) > 0;
-    const auto is_busy = [&r](graph::VertexId v) { return r.busy_.test(v); };
-    const auto edge_blocked = [&r, edge_faults, overlay](graph::EdgeId e) {
-      return (edge_faults && r.blocked_edges_.test(e)) ||
-             (overlay && r.dead_edges_.test(e));  // relaxed: dirty snapshot
-    };
-    const auto edge_contracted = [&r](graph::EdgeId e) {
-      return r.contracted_edges_.test(e);  // relaxed: dirty snapshot
-    };
-    const auto vertex_welded = [&r](graph::VertexId v) {
-      return r.welded_vertices_.test(v);  // relaxed: dirty snapshot
-    };
-    detail::wave_search(r.net_->g, wave_src_.data(), wave_dst_.data(), m,
-                        scratch_, wave_meet_.data(), wave_total_.data(),
-                        stats_.vertices_visited, is_busy, edge_blocked,
-                        edge_contracted, vertex_welded, contraction);
-
-    // Steps 3-5 per settled request, in window order. A meetless entry is
-    // demoted (labels compete in the shared sweep — a miss is NOT proof of
-    // unreachability); a claim or overlay conflict demotes only that
-    // request, bounded by kMaxClaimRetries demotions exactly like
-    // connect() retries.
-    bool progressed = false;
-    for (std::size_t w = 0; w < m; ++w) {
-      const std::size_t i = wave_slot_[w];
-      WaveItem& it = items[i];
-      if (wave_meet_[w] == graph::kNoVertex) continue;  // demote
-      const graph::VertexId dst = r.net_->outputs[it.out];
-      path_buf_.clear();
-      for (graph::VertexId v = wave_meet_[w]; v != graph::kNoVertex;
-           v = scratch_.parent_f[v])
-        path_buf_.push_back(v);
-      std::reverse(path_buf_.begin(), path_buf_.end());
-      for (graph::VertexId v = wave_meet_[w]; v != dst;) {
-        v = scratch_.parent_b[v];
-        path_buf_.push_back(v);
-      }
-      claim_buf_.assign(path_buf_.begin(), path_buf_.end());
-      std::sort(claim_buf_.begin(), claim_buf_.end());
-      std::size_t claimed = 0;
-      while (claimed < claim_buf_.size() &&
-             r.busy_.try_set(claim_buf_[claimed]))
-        ++claimed;
-      bool owned;
-      if (claimed == claim_buf_.size()) {
-        owned = !(overlay || contraction) || r.path_switches_alive(path_buf_);
-        if (!owned) ++stats_.overlay_conflicts;
-      } else {
-        owned = false;
-        ++stats_.claim_conflicts;
-      }
-      if (!owned) {
-        while (claimed > 0) r.busy_.reset(claim_buf_[--claimed]);
-        ++stats_.search_retries;
-        if (++wave_attempts_[i] >= kMaxClaimRetries) {
-          r.out_busy_.reset(it.out);
-          r.in_busy_.reset(it.in);
-          drop_holders(i, it);
-          it.reject = WaveReject::kContention;
-          ++stats_.rejected_contention;
-          --unresolved;
-          progressed = true;
-        }
-        continue;
-      }
-      it.call = settle_owned(it.in, it.out);
-      it.path_length = static_cast<std::uint32_t>(path_buf_.size());
-      --unresolved;
-      progressed = true;
-    }
-
-    // Progress guarantee: a wave that settled nothing routes its head solo
-    // (final verdict either way), so the round count is bounded by n.
-    if (!progressed) {
-      const std::size_t i = wave_slot_[0];
-      WaveItem& it = items[i];
-      CallId id = kNoCall;
-      const WaveReject verdict = connect_held(it.in, it.out, id);
-      if (verdict == WaveReject::kNone) {
-        it.call = id;
-        it.path_length = static_cast<std::uint32_t>(calls_[id].length);
-      } else {
-        drop_holders(i, it);
-        it.reject = verdict;
-      }
-      --unresolved;
-    }
-  }
-
-  // The holder maps are per-wave state; drop the settled items' entries.
-  for (std::size_t i = 0; i < n; ++i) drop_holders(i, items[i]);
 }
 
 void ConcurrentRouter::Worker::disconnect(CallId call) {

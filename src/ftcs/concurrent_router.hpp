@@ -93,21 +93,6 @@
 // A 1-worker ConcurrentRouter is path-for-path identical to GreedyRouter:
 // both run the same search (ftcs/search.hpp) and with no contention the
 // claim phase always succeeds on the first attempt.
-//
-// WAVE MODE (epoch-wave routing): Worker::connect_wave routes a whole
-// priority-ordered admission window through ONE shared search wave
-// (detail::wave_search) instead of N independent searches — legal because
-// the strictly-nonblocking guarantee means window-mates race only on
-// occupancy, never feasibility. Steps 1/3/4/5 are unchanged per request:
-// terminals are CAS-acquired as tentative holds up front (a slot held by an
-// unresolved window-mate DEFERS the claimant instead of rejecting it, which
-// is exactly the verdict order sequential routing would produce), settled
-// paths are claimed vertex-by-vertex in canonical order and overlay-
-// re-validated, and a claim/overlay conflict demotes ONLY that request into
-// the next wave — per-item demotions are bounded by kMaxClaimRetries, as
-// today. A wave round that settles nothing routes its head solo, so every
-// round resolves at least one request and the round count is bounded by the
-// window size.
 #pragma once
 
 #include <cstdint>
@@ -137,10 +122,9 @@ class ConcurrentRouter {
   /// `workers` fixes the session count (>= 1). `blocked` / `blocked_edges`
   /// as in GreedyRouter. The network must outlive the router; GLOBAL scratch
   /// is allocated here, once. Per-worker scratch is built lazily on the
-  /// worker's FIRST connect/connect_wave — on the thread that owns the
-  /// session — so with a pinned thread pool the scratch pages first-touch
-  /// onto the owning worker's NUMA node instead of the constructing
-  /// thread's.
+  /// worker's FIRST connect — on the thread that owns the session — so
+  /// with a pinned thread pool the scratch pages first-touch onto the
+  /// owning worker's NUMA node instead of the constructing thread's.
   ConcurrentRouter(const graph::Network& net, unsigned workers,
                    std::vector<std::uint8_t> blocked = {},
                    std::vector<std::uint8_t> blocked_edges = {});
@@ -162,12 +146,6 @@ class ConcurrentRouter {
     /// claim-retry exhaustion (see stats). Allocation-free after this
     /// worker's first call (which first-touch builds the session scratch).
     CallId connect(std::uint32_t in, std::uint32_t out);
-    /// WAVE MODE (see the header comment): routes a priority-ordered window
-    /// of `n` requests as one shared search wave per round. Per item the
-    /// verdict alphabet matches connect(): `call` set on success, `reject`
-    /// set otherwise (kTerminal / kNoPath / kContention). Same ownership
-    /// contract as connect() — one thread per worker at a time.
-    void connect_wave(WaveItem* items, std::size_t n);
     /// Releases a call made through THIS worker. Allocation-free.
     void disconnect(CallId call);
 
@@ -197,21 +175,10 @@ class ConcurrentRouter {
 
     explicit Worker(ConcurrentRouter& r);
 
-    /// Builds the session scratch (search arrays, call table, wave maps) on
-    /// first use, i.e. on the thread that owns this session — the
-    /// first-touch point for every page the hot path walks.
+    /// Builds the session scratch (search arrays, call table) on first use,
+    /// i.e. on the thread that owns this session — the first-touch point
+    /// for every page the hot path walks.
     void ensure_scratch();
-
-    /// Steps 2-5 with the terminal slots ALREADY held by the caller: dirty-
-    /// snapshot search, canonical claim, overlay re-validation, settle.
-    /// Releases both terminal slots on any reject. On kNone, `id` is the new
-    /// call.
-    WaveReject connect_held(std::uint32_t in, std::uint32_t out, CallId& id);
-    /// Step 5 once every vertex of path_buf_ is owned: threads the shared
-    /// successor array and records the call in the private table.
-    CallId settle_owned(std::uint32_t in, std::uint32_t out);
-
-    static constexpr std::uint32_t kNoItem = static_cast<std::uint32_t>(-1);
 
     ConcurrentRouter* r_;
     detail::SearchScratch scratch_;
@@ -219,14 +186,6 @@ class ConcurrentRouter {
     std::vector<graph::VertexId> claim_buf_;  // same vertices, ascending id
     std::vector<Call> calls_;
     std::vector<CallId> free_slots_;
-    // Wave scratch (connect_wave only): src/dst/meet/total per wave entry,
-    // slot -> window item index, per-item admission/demotion bookkeeping,
-    // and terminal-slot -> holding-item maps for the defer discipline.
-    std::vector<graph::VertexId> wave_src_, wave_dst_, wave_meet_;
-    std::vector<std::uint32_t> wave_total_, wave_slot_;
-    std::vector<std::uint8_t> wave_admitted_;
-    std::vector<std::uint8_t> wave_attempts_;
-    std::vector<std::uint32_t> in_holder_, out_holder_;
     std::size_t active_ = 0;
     std::size_t busy_count_ = 0;
     bool scratch_ready_ = false;
@@ -283,7 +242,7 @@ class ConcurrentRouter {
   /// through vmap), and every worker's session scratch is invalidated so
   /// its next connect first-touches the grown arrays on the owning thread
   /// — the NUMA discipline of construction, preserved across growth.
-  /// QUIESCENT ONLY: no connect/disconnect/wave in flight on ANY worker —
+  /// QUIESCENT ONLY: no connect/disconnect in flight on ANY worker —
   /// the kill_vertex/drain() contract the Exchange's growth path holds.
   void grow(const graph::Network& net, std::span<const graph::VertexId> vmap);
 

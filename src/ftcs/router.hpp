@@ -61,7 +61,9 @@ struct RouterStats {
   std::uint64_t overlay_conflicts = 0;    // settled path crossed a switch that
                                           // failed during the search (released
                                           // and re-searched, like a claim loss)
-  std::uint64_t wave_epochs = 0;      // multi-source waves run (connect_wave)
+  std::uint64_t wave_epochs = 0;      // always 0 (routing has no
+                                      // multi-source waves); kept for the
+                                      // benchmark's per-layer schema
   std::uint64_t bottom_up_levels = 0; // always 0 (the search has no
                                       // bottom-up mode); kept for the
                                       // benchmark's per-layer schema
@@ -102,26 +104,6 @@ struct RouterStats {
   }
 };
 
-/// Per-request verdict of a wave-routed window (connect_wave). Mapped 1:1
-/// onto svc::RejectReason by the engines — a batch cannot be classified by
-/// counter-diffing (several requests share one stats block).
-enum class WaveReject : std::uint8_t {
-  kNone = 0,     // routed; WaveItem::call is live
-  kTerminal,     // input/output slot busy or blocked
-  kNoPath,       // no idle path exists (final verdict from a solo search)
-  kContention,   // concurrent claim/overlay retry budget exhausted
-};
-
-/// One request of an admission window handed to connect_wave(); resolved in
-/// place. `in`/`out` are terminal indices exactly as for connect().
-struct WaveItem {
-  std::uint32_t in = 0;
-  std::uint32_t out = 0;
-  std::uint32_t call = static_cast<std::uint32_t>(-1);  // router CallId
-  std::uint32_t path_length = 0;                        // vertices, if routed
-  WaveReject reject = WaveReject::kNone;
-};
-
 class GreedyRouter {
  public:
   /// `blocked` marks statically unusable vertices (e.g. faulty); may be
@@ -139,24 +121,6 @@ class GreedyRouter {
   /// network's terminal lists). Returns kNoCall if either terminal is busy/
   /// blocked or no idle path exists. Allocation-free.
   CallId connect(std::uint32_t in, std::uint32_t out);
-
-  /// Routes a whole admission window as multi-source search WAVES instead
-  /// of n independent searches (ftcs/search.hpp wave_search). Items resolve
-  /// in place; the admitted/rejected books match routing the window
-  /// per-request in window order:
-  ///   - terminals are tentatively HELD from the round a request enters its
-  ///     first wave; a window-mate wanting the same slot waits (defers)
-  ///     until the holder settles (-> kTerminal) or rejects (-> slot free),
-  ///     exactly the verdict sequential routing would give it;
-  ///   - settles commit in window order; a settle that clashes with an
-  ///     earlier settle's vertices (labels raced on the shared sweep) is
-  ///     DEMOTED into the next wave — only that request re-runs;
-  ///   - a wave that settles nothing routes its head request with the
-  ///     plain single-pair search (progress guarantee: >= 1 resolution per
-  ///     round, so a window of n needs at most n rounds); that solo verdict
-  ///     is final (kNoPath on a dead search, like connect()).
-  /// Counts one wave_epochs per wave. Allocation-free after construction.
-  void connect_wave(WaveItem* items, std::size_t n);
 
   /// Releases a call and frees its path. Allocation-free.
   void disconnect(CallId call);
@@ -271,10 +235,6 @@ class GreedyRouter {
   /// Runs the shared single-pair search against this router's state.
   [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
                                            graph::VertexId dst);
-  /// Threads `path` (src..dst order, already all-idle) through the
-  /// successor array, marks it busy and allocates the call slot.
-  CallId settle_path(std::uint32_t in, std::uint32_t out,
-                     const std::vector<graph::VertexId>& path);
 
   const graph::Network* net_;
   util::Bitset blocked_;        // static vertex faults
@@ -306,16 +266,6 @@ class GreedyRouter {
   std::size_t busy_count_ = 0;
   RouterStats stats_;
 
-  // connect_wave scratch, reserved at construction (window <= call bound):
-  std::vector<graph::VertexId> wave_src_, wave_dst_;  // active wave pairs
-  std::vector<graph::VertexId> wave_meet_;            // per-request meets
-  std::vector<std::uint32_t> wave_total_;             // per-request lengths
-  std::vector<std::uint32_t> wave_slot_;   // wave slot -> window item index
-  std::vector<graph::VertexId> wave_path_; // settle walk buffer
-  std::vector<std::uint8_t> wave_admitted_;  // item holds its terminals
-  std::vector<std::uint8_t> in_hold_, out_hold_;  // tentative terminal holds
-                                                  // (live only inside
-                                                  // connect_wave rounds)
 };
 
 }  // namespace ftcs::core

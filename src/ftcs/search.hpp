@@ -77,21 +77,6 @@
 // the dirty-snapshot contract and the claim re-validation already allow.
 // Reachability — the property the offline contraction equivalence pins —
 // is exact.
-//
-// WAVE SEARCH (wave_search): routes a whole admission window as ONE
-// level-synchronized multi-source sweep. Every request seeds its input into
-// the forward frontier and its output into the backward frontier, stamped
-// with a per-request LABEL (SearchScratch::label_f/label_b); discoveries
-// propagate the discoverer's label, and a meet only counts when both sides
-// carry the SAME label, so each recovered parent chain stays inside one
-// request's tree. The per-request termination rule is the single search's
-// (totals[r] <= df + db + 1 finalizes r); the wave ends when every request
-// is final or both frontiers die. Because labels compete for vertices, a
-// request without a meet is NOT proven unroutable — the caller demotes it
-// into the next wave (see GreedyRouter::connect_wave). Shared scratch means
-// the whole window pays ONE sweep of the graph instead of N. Its welded
-// body gates the weld work per vertex like the single search, but has no
-// exit.
 #pragma once
 
 #include <algorithm>
@@ -112,7 +97,6 @@ struct SearchScratch {
   std::vector<graph::VertexId> parent_b;        // toward the output
   std::vector<graph::VertexId> queue_f, queue_b;  // frontier rings
   std::vector<graph::VertexId> zero_f, zero_b;  // free-hop (contracted) stacks
-  std::vector<std::uint32_t> label_f, label_b;  // wave: request per stamp
   std::uint32_t epoch = 0;
 
   void init(std::size_t v_count) {
@@ -126,8 +110,6 @@ struct SearchScratch {
     queue_b.resize(v_count);
     zero_f.resize(v_count);
     zero_b.resize(v_count);
-    label_f.resize(v_count);
-    label_b.resize(v_count);
     epoch = 0;
   }
 };
@@ -384,243 +366,6 @@ template <class BusyFn, class EdgeBlockedFn>
       static_cast<EdgeBlockedFn&&>(edge_blocked),
       [](graph::EdgeId) { return false; },
       [](graph::VertexId) { return false; });
-}
-
-// ---------------------------------------------------------------------------
-// Multi-source wave search (see the header comment). One call explores the
-// graph ONCE for a whole window of requests; per-request results come back
-// in meets[] / totals[] and the parent chains in the scratch, labelled so
-// each request's chains stay inside its own tree.
-// ---------------------------------------------------------------------------
-
-template <bool kContraction, class BusyFn, class EdgeBlockedFn,
-          class EdgeContractedFn, class VertexWeldedFn>
-void wave_search_impl(const graph::CsrGraph& g, const graph::VertexId* srcs,
-                      const graph::VertexId* dsts, std::size_t n,
-                      SearchScratch& s, graph::VertexId* meets,
-                      std::uint32_t* totals, std::uint64_t& visited,
-                      BusyFn&& is_busy, EdgeBlockedFn&& edge_blocked,
-                      EdgeContractedFn&& edge_contracted,
-                      VertexWeldedFn&& vertex_welded) {
-  if (++s.epoch == 0) {
-    std::fill(s.epoch_f.begin(), s.epoch_f.end(), 0u);
-    std::fill(s.epoch_b.begin(), s.epoch_b.end(), 0u);
-    s.epoch = 1;
-  }
-  std::size_t fh = 0, ft = 0, bh = 0, bt = 0;
-  std::size_t resolved = 0;  // requests whose best meet can no longer improve
-
-  for (std::size_t r = 0; r < n; ++r) {
-    meets[r] = graph::kNoVertex;
-    totals[r] = graph::kNoVertex;  // "infinite"
-    const graph::VertexId src = srcs[r], dst = dsts[r];
-    if (src == dst) {  // degenerate pair: trivial path, final immediately
-      if (s.epoch_f[src] != s.epoch) {
-        s.epoch_f[src] = s.epoch;
-        s.parent_f[src] = graph::kNoVertex;
-        s.dist_f[src] = 0;
-        s.label_f[src] = static_cast<std::uint32_t>(r);
-        meets[r] = dst;
-        totals[r] = 0;
-      }
-      ++resolved;  // (a seed clash leaves it meetless -> caller demotes)
-      continue;
-    }
-    // Routers admit at most one request per terminal slot into a wave, so
-    // same-side seed clashes need two slots sharing a vertex — tolerated
-    // defensively: the loser stays unseeded and the caller demotes it.
-    // Seeds never count as visits (matching the single search).
-    if (s.epoch_f[src] != s.epoch) {
-      s.epoch_f[src] = s.epoch;
-      s.parent_f[src] = graph::kNoVertex;
-      s.dist_f[src] = 0;
-      s.label_f[src] = static_cast<std::uint32_t>(r);
-      s.queue_f[ft++] = src;
-    }
-    if (s.epoch_b[dst] != s.epoch) {
-      s.epoch_b[dst] = s.epoch;
-      s.parent_b[dst] = graph::kNoVertex;
-      s.dist_b[dst] = 0;
-      s.label_b[dst] = static_cast<std::uint32_t>(r);
-      s.queue_b[bt++] = dst;
-    }
-  }
-
-  std::size_t flevel = ft, blevel = bt;
-  std::uint32_t df = 0, db = 0;
-  // Per-request termination is the single search's rule; the WAVE ends when
-  // every request is final or both frontiers die. Either side dying alone
-  // proves nothing per request (labels compete for vertices), so leftover
-  // requests are demoted by the caller, not rejected. There is no early
-  // exit: a window's requests finalize at different levels.
-  while (resolved < n && (flevel > 0 || blevel > 0)) {
-    const bool forward = blevel == 0 || (flevel > 0 && flevel <= blevel);
-    if (forward) {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;
-      const auto visit_f = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_f[v] == s.epoch) return;
-        s.epoch_f[v] = s.epoch;
-        ++visited;
-        if (is_busy(v)) {
-          s.parent_f[v] = graph::kNoVertex;
-          return;
-        }
-        const std::uint32_t rq = s.label_f[u];
-        s.parent_f[v] = u;
-        s.label_f[v] = rq;
-        const std::uint32_t dv = free ? df : df + 1;
-        s.dist_f[v] = dv;
-        if (s.epoch_b[v] == s.epoch && s.label_b[v] == rq &&
-            (s.parent_b[v] != graph::kNoVertex || v == dsts[rq])) {
-          const std::uint32_t total = dv + s.dist_b[v];
-          if (total < totals[rq]) {
-            totals[rq] = total;
-            meets[rq] = v;
-          }
-          return;  // expanding a meet can never improve on it
-        }
-        if (kContraction && free) {
-          s.zero_f[zt++] = v;
-        } else {
-          s.queue_f[ft++] = v;
-          ++next_level;
-        }
-      };
-      std::size_t cnt = 0;
-      for (;;) {
-        graph::VertexId u;
-        bool welded = true;  // free-hop stack entries are weld-incident
-        if (cnt < flevel) {
-          u = s.queue_f[fh++];
-          ++cnt;
-          if constexpr (kContraction) welded = vertex_welded(u);
-        } else if (kContraction && zt > 0) {
-          u = s.zero_f[--zt];
-        } else {
-          break;
-        }
-        const auto eids = g.out_edges(u);
-        const auto tgts = g.out_targets(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_f(tgts[i], u,
-                  kContraction && welded && edge_contracted(eids[i]));
-        }
-        if (kContraction && welded) {
-          const auto reids = g.in_edges(u);
-          const auto rsrcs = g.in_sources(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_f(rsrcs[i], u, true);
-          }
-        }
-      }
-      flevel = next_level;
-      ++df;
-    } else {
-      std::size_t next_level = 0;
-      std::size_t zt = 0;
-      const auto visit_b = [&](graph::VertexId v, graph::VertexId u,
-                               bool free) {
-        if (s.epoch_b[v] == s.epoch) return;
-        s.epoch_b[v] = s.epoch;
-        ++visited;
-        if (is_busy(v)) {
-          s.parent_b[v] = graph::kNoVertex;
-          return;
-        }
-        const std::uint32_t rq = s.label_b[u];
-        s.parent_b[v] = u;
-        s.label_b[v] = rq;
-        const std::uint32_t dv = free ? db : db + 1;
-        s.dist_b[v] = dv;
-        if (s.epoch_f[v] == s.epoch && s.label_f[v] == rq &&
-            (s.parent_f[v] != graph::kNoVertex || v == srcs[rq])) {
-          const std::uint32_t total = s.dist_f[v] + dv;
-          if (total < totals[rq]) {
-            totals[rq] = total;
-            meets[rq] = v;
-          }
-          return;
-        }
-        if (kContraction && free) {
-          s.zero_b[zt++] = v;
-        } else {
-          s.queue_b[bt++] = v;
-          ++next_level;
-        }
-      };
-      std::size_t cnt = 0;
-      for (;;) {
-        graph::VertexId u;
-        bool welded = true;
-        if (cnt < blevel) {
-          u = s.queue_b[bh++];
-          ++cnt;
-          if constexpr (kContraction) welded = vertex_welded(u);
-        } else if (kContraction && zt > 0) {
-          u = s.zero_b[--zt];
-        } else {
-          break;
-        }
-        const auto eids = g.in_edges(u);
-        const auto usrcs = g.in_sources(u);
-        for (std::size_t i = 0; i < eids.size(); ++i) {
-          if (edge_blocked(eids[i])) continue;
-          visit_b(usrcs[i], u,
-                  kContraction && welded && edge_contracted(eids[i]));
-        }
-        if (kContraction && welded) {
-          const auto reids = g.out_edges(u);
-          const auto rtgts = g.out_targets(u);
-          for (std::size_t i = 0; i < reids.size(); ++i) {
-            if (!edge_contracted(reids[i]) || edge_blocked(reids[i]))
-              continue;
-            visit_b(rtgts[i], u, true);
-          }
-        }
-      }
-      blevel = next_level;
-      ++db;
-    }
-    // Re-count finals (n is a window, not a graph: an O(n) pass per level).
-    resolved = 0;
-    for (std::size_t r = 0; r < n; ++r)
-      if (totals[r] != graph::kNoVertex && totals[r] <= df + db + 1)
-        ++resolved;
-  }
-}
-
-/// Wave dispatcher: fills meets[r] with each request's best meeting vertex
-/// (kNoVertex = no meet THIS wave — demote, do not reject) and totals[r]
-/// with its path length in edges. Parent chains are recovered from the
-/// scratch exactly as for the single search; a request's chains only cross
-/// vertices carrying its label. The weld predicates and `contraction_live`
-/// are the single search's. Allocation-free.
-template <class BusyFn, class EdgeBlockedFn, class EdgeContractedFn,
-          class VertexWeldedFn>
-void wave_search(const graph::CsrGraph& g, const graph::VertexId* srcs,
-                 const graph::VertexId* dsts, std::size_t n, SearchScratch& s,
-                 graph::VertexId* meets, std::uint32_t* totals,
-                 std::uint64_t& visited, BusyFn&& is_busy,
-                 EdgeBlockedFn&& edge_blocked,
-                 EdgeContractedFn&& edge_contracted,
-                 VertexWeldedFn&& vertex_welded, bool contraction_live) {
-  if (contraction_live)
-    return wave_search_impl<true>(
-        g, srcs, dsts, n, s, meets, totals, visited,
-        static_cast<BusyFn&&>(is_busy),
-        static_cast<EdgeBlockedFn&&>(edge_blocked),
-        static_cast<EdgeContractedFn&&>(edge_contracted),
-        static_cast<VertexWeldedFn&&>(vertex_welded));
-  wave_search_impl<false>(g, srcs, dsts, n, s, meets, totals, visited,
-                          static_cast<BusyFn&&>(is_busy),
-                          static_cast<EdgeBlockedFn&&>(edge_blocked),
-                          static_cast<EdgeContractedFn&&>(edge_contracted),
-                          static_cast<VertexWeldedFn&&>(vertex_welded));
 }
 
 }  // namespace ftcs::core::detail

@@ -17,6 +17,15 @@ class Dsu {
 
   void reset(std::size_t n);
 
+  /// Makes x a singleton class again, in O(1). Callers must reset whole
+  /// classes: every member of x's class is reset before the next find() or
+  /// unite(). Resetting a vertex twice is harmless.
+  void reset_vertex(std::uint32_t x) noexcept {
+    if (parent_[x] != x) ++components_;  // the class's root counted it once
+    parent_[x] = x;
+    size_[x] = 1;
+  }
+
   [[nodiscard]] std::uint32_t find(std::uint32_t x) noexcept;
 
   /// Merge the classes of a and b; returns false if already merged.

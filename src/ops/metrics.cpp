@@ -61,7 +61,6 @@ std::vector<NamedCounter> flat_counters(const MetricsRegistry::Sample& s) {
        d.router.claim_conflicts},
       {"router_overlay_conflicts_total", t.router.overlay_conflicts,
        d.router.overlay_conflicts},
-      {"router_wave_epochs_total", t.router.wave_epochs, d.router.wave_epochs},
   };
 }
 

@@ -23,23 +23,6 @@ struct RejectSnapshot {
   }
 };
 
-/// Wave verdicts are reported per-request by the routers (no counter
-/// diffing needed — a batch bumps many counters at once, so RejectSnapshot
-/// cannot attribute them).
-RejectReason to_reject(core::WaveReject r) noexcept {
-  switch (r) {
-    case core::WaveReject::kTerminal:
-      return RejectReason::kTerminalBusy;
-    case core::WaveReject::kContention:
-      return RejectReason::kContention;
-    case core::WaveReject::kNoPath:
-      return RejectReason::kNoPath;
-    case core::WaveReject::kNone:
-      break;
-  }
-  return RejectReason::kNone;
-}
-
 class GreedyEngine final : public Engine {
  public:
   GreedyEngine(const graph::Network& net, std::vector<std::uint8_t> blocked,
@@ -55,22 +38,6 @@ class GreedyEngine final : public Engine {
       return {kNoRawCall, before.classify(router_.stats()), 0};
     return {call, RejectReason::kNone,
             static_cast<std::uint32_t>(router_.path_length(call))};
-  }
-
-  void connect_wave(unsigned, WaveEntry* entries, std::size_t n) override {
-    wave_buf_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      wave_buf_[i].in = entries[i].in;
-      wave_buf_[i].out = entries[i].out;
-    }
-    router_.connect_wave(wave_buf_.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const core::WaveItem& it = wave_buf_[i];
-      entries[i].result =
-          it.call == core::GreedyRouter::kNoCall
-              ? Connect{kNoRawCall, to_reject(it.reject), 0}
-              : Connect{it.call, RejectReason::kNone, it.path_length};
-    }
   }
 
   void disconnect(unsigned, RawCall call) override { router_.disconnect(call); }
@@ -122,7 +89,6 @@ class GreedyEngine final : public Engine {
 
  private:
   core::GreedyRouter router_;
-  std::vector<core::WaveItem> wave_buf_;  // single session: no sharing
 };
 
 class ConcurrentEngine final : public Engine {
@@ -130,8 +96,7 @@ class ConcurrentEngine final : public Engine {
   ConcurrentEngine(const graph::Network& net, unsigned sessions,
                    std::vector<std::uint8_t> blocked,
                    std::vector<std::uint8_t> blocked_edges)
-      : router_(net, sessions, std::move(blocked), std::move(blocked_edges)),
-        wave_buf_(router_.worker_count()) {}
+      : router_(net, sessions, std::move(blocked), std::move(blocked_edges)) {}
 
   [[nodiscard]] unsigned sessions() const noexcept override {
     return router_.worker_count();
@@ -146,24 +111,6 @@ class ConcurrentEngine final : public Engine {
       return {kNoRawCall, before.classify(worker.stats()), 0};
     return {call, RejectReason::kNone,
             static_cast<std::uint32_t>(worker.path_length(call))};
-  }
-
-  void connect_wave(unsigned session, WaveEntry* entries,
-                    std::size_t n) override {
-    auto& buf = wave_buf_[session].items;  // per-session: run concurrently
-    buf.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf[i].in = entries[i].in;
-      buf[i].out = entries[i].out;
-    }
-    router_.worker(session).connect_wave(buf.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const core::WaveItem& it = buf[i];
-      entries[i].result =
-          it.call == core::ConcurrentRouter::kNoCall
-              ? Connect{kNoRawCall, to_reject(it.reject), 0}
-              : Connect{it.call, RejectReason::kNone, it.path_length};
-    }
   }
 
   void disconnect(unsigned session, RawCall call) override {
@@ -219,15 +166,7 @@ class ConcurrentEngine final : public Engine {
   }
 
  private:
-  // One wave buffer per session, cache-line aligned: sessions resize and
-  // fill their buffers concurrently during drain, and unpadded vector
-  // headers would false-share lines across neighbouring sessions.
-  struct alignas(util::kCacheLineBytes) SessionWaveBuf {
-    std::vector<core::WaveItem> items;
-  };
-
   core::ConcurrentRouter router_;
-  std::vector<SessionWaveBuf> wave_buf_;  // one per session
 };
 
 }  // namespace

@@ -41,15 +41,6 @@ class Engine {
     std::uint32_t path_length = 0;
   };
 
-  /// One request of an admission window for connect_wave(); in/out are
-  /// inputs, result is filled in place with the same verdict alphabet as
-  /// connect().
-  struct WaveEntry {
-    std::uint32_t in = 0;
-    std::uint32_t out = 0;
-    Connect result;
-  };
-
   virtual ~Engine() = default;
 
   [[nodiscard]] virtual unsigned sessions() const noexcept = 0;
@@ -57,16 +48,6 @@ class Engine {
   /// or kContention.
   virtual Connect connect(unsigned session, std::uint32_t in,
                           std::uint32_t out) = 0;
-  /// Routes a priority-ordered window on `session` as ONE search wave where
-  /// the backend supports it (both routers do — see connect_wave in their
-  /// headers); the default falls back to per-request connect() so custom
-  /// engines stay correct. Same serialization contract as connect(): one
-  /// thread per session at a time.
-  virtual void connect_wave(unsigned session, WaveEntry* entries,
-                            std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-      entries[i].result = connect(session, entries[i].in, entries[i].out);
-  }
   virtual void disconnect(unsigned session, RawCall call) = 0;
   [[nodiscard]] virtual std::vector<graph::VertexId> path_of(
       unsigned session, RawCall call) = 0;

@@ -31,7 +31,6 @@ Exchange::Exchange(const graph::Network* net,
                                                std::move(cfg.blocked_edges)})),
       admission_(cfg.admission ? std::move(cfg.admission)
                                : std::make_unique<UnboundedAdmission>()),
-      wave_drain_(cfg.wave_drain),
       home_sessions_(cfg.home_sessions),
       qos_immediate_(cfg.qos_immediate),
       class_deadlines_(cfg.class_deadlines),
@@ -325,34 +324,7 @@ std::size_t Exchange::drain() {
     for (unsigned s = 0; s <= s_count; ++s) start[s] = m * s / s_count;
   }
   const auto route_chunk = [&](unsigned s) {
-    const std::size_t lo = start[s];
-    const std::size_t hi = start[s + 1];
-    if (wave_drain_ && hi - lo > 1) {
-      // Wave plane: the whole chunk rides ONE search wave; callbacks fire
-      // after the wave settles (still from the task that owns the session,
-      // in window order).
-      std::vector<Engine::WaveEntry> wave(hi - lo);
-      for (std::size_t k = lo; k < hi; ++k) {
-        wave[k - lo].in = batch[order[k]].req.input;
-        wave[k - lo].out = batch[order[k]].req.output;
-      }
-      engine_->connect_wave(s, wave.data(), wave.size());
-      for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t i = order[k];
-        const Engine::Connect& c = wave[k - lo].result;
-        Outcome& o = outs[i];
-        o.tag = batch[i].req.tag;
-        o.session = s;
-        o.deferrals = batch[i].deferrals;
-        o.reject = c.reject;
-        o.path_length = c.path_length;
-        if (c.reject == RejectReason::kNone)
-          o.id = issue_handle(s, c.call, batch[i].req);
-        if (batch[i].done) batch[i].done(o);
-      }
-      return;
-    }
-    for (std::size_t k = lo; k < hi; ++k) {
+    for (std::size_t k = start[s]; k < start[s + 1]; ++k) {
       const std::size_t i = order[k];
       outs[i] = route_one(batch[i].req, s, batch[i].deferrals);
       if (batch[i].done) batch[i].done(outs[i]);

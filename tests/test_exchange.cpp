@@ -3,9 +3,12 @@
 // the facade, batched admission (defer/refuse), and async completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,41 +204,138 @@ TEST(Exchange, EngineEquivalenceThroughFacade) {
 // Batched plane: the same trace submitted through batched admission
 // (unbounded window, 1 session) produces the same engine books as the
 // immediate plane.
-TEST(Exchange, BatchedUnboundedMatchesImmediate) {
-  const auto net = networks::build_clos({2, 3, 4});
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  Exchange immediate(net, {});
-  Exchange batched(net, {});
-  std::vector<Ticket> tickets;
-  util::Xoshiro256 rng(5);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> reqs;
-  for (int i = 0; i < 64; ++i)
-    reqs.emplace_back(static_cast<std::uint32_t>(rng() % n),
-                      static_cast<std::uint32_t>(rng() % n));
-  for (const auto& [in, out] : reqs) immediate.call({in, out});
-  for (const auto& [in, out] : reqs) tickets.push_back(batched.submit({in, out}));
-  EXPECT_EQ(batched.pending(), reqs.size());
-  EXPECT_EQ(batched.drain(), reqs.size());
-  EXPECT_EQ(batched.pending(), 0u);
-  std::size_t polled = 0;
-  for (const Ticket t : tickets) {
-    const auto o = batched.poll(t);
-    ASSERT_TRUE(o.has_value());
-    ++polled;
-    EXPECT_FALSE(batched.poll(t).has_value());  // taken exactly once
+// With one session the batched plane routes each admitted window request
+// by request, through the same engine connect() as call(). Each epoch
+// admits the `window` highest priorities still queued (FIFO among equals;
+// 0 = the whole queue) and routes them in arrival order. So every drained
+// Outcome (reject, path length, path, deferrals) must equal call()'s on the
+// same requests in that order — on both backends.
+void expect_drain_matches_call(std::size_t window) {
+  struct Case {
+    const char* name;
+    graph::Network net;
+    std::vector<std::uint8_t> blocked_edges;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"clos-2-3-4", networks::build_clos({2, 3, 4}), {}});
+  cases.push_back({"cantor-k4", networks::build_cantor({4, 0}), {}});
+  {
+    // crossbar-4 without its input 0 -> output 0 switch: (0, 0) has idle
+    // terminals but no path, so it rejects kNoPath and leaves input 0 free.
+    auto net = networks::build_crossbar(4);
+    std::vector<std::uint8_t> cut(net.g.edge_count(), 0);
+    cut[0] = 1;
+    cases.push_back({"crossbar-4-cut", std::move(net), std::move(cut)});
   }
-  EXPECT_EQ(polled, reqs.size());
-  const ExchangeStats a = immediate.stats();
-  const ExchangeStats b = batched.stats();
-  EXPECT_EQ(a.router.accepted, b.router.accepted);
-  EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
-  EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
-  EXPECT_EQ(b.submitted, reqs.size());
-  EXPECT_EQ(b.admitted, reqs.size());
-  EXPECT_EQ(b.completed, reqs.size());
-  EXPECT_EQ(b.epochs, 1u);
-  EXPECT_EQ(b.deferred, 0u);
-  EXPECT_EQ(b.refused, 0u);
+
+  std::size_t connected = 0, terminal_busy = 0, no_path = 0;
+  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (backend == Backend::kGreedy ? " greedy" : " concurrent"));
+      const auto n = static_cast<std::uint32_t>(c.net.inputs.size());
+      // Crafted head, first in arrival and at the top priority, so it is
+      // routed first and in this order: input 0 twice in one window
+      // (duplicate terminal), then (1, 3) rejected on the output (2, 3)
+      // took, whose input 1 the next window-mate (1, 2) reuses. On
+      // crossbar-4-cut the first (0, 0) is the rejected request and (0, 1)
+      // reuses its input.
+      std::vector<CallRequest> reqs{
+          {0, 0, 3}, {0, 1, 3}, {2, 3, 3}, {1, 3, 3}, {1, 2, 3}};
+      util::Xoshiro256 rng(5);
+      while (reqs.size() < 64)
+        reqs.push_back({static_cast<std::uint32_t>(rng() % n),
+                        static_cast<std::uint32_t>(rng() % n),
+                        static_cast<std::uint8_t>(rng() % 3)});
+      for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].tag = i;
+
+      // Reference model of the admission: routing order and epoch index.
+      std::vector<std::size_t> order, epoch_of(reqs.size());
+      std::vector<std::size_t> queued(reqs.size());
+      std::iota(queued.begin(), queued.end(), std::size_t{0});
+      for (std::size_t epoch = 0; !queued.empty(); ++epoch) {
+        std::vector<std::size_t> admit = queued;
+        std::stable_sort(admit.begin(), admit.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return reqs[a].priority > reqs[b].priority;
+                         });
+        if (window > 0 && window < admit.size()) admit.resize(window);
+        std::sort(admit.begin(), admit.end());
+        for (const std::size_t i : admit) {
+          order.push_back(i);
+          epoch_of[i] = epoch;
+          queued.erase(std::find(queued.begin(), queued.end(), i));
+        }
+      }
+
+      const auto make = [&](bool bounded) {
+        ExchangeConfig cfg;
+        cfg.backend = backend;
+        cfg.blocked_edges = c.blocked_edges;
+        if (bounded) cfg.admission = std::make_unique<FixedWindowAdmission>(window);
+        return cfg;
+      };
+      Exchange immediate(c.net, make(false));
+      Exchange batched(c.net, make(window > 0));
+      std::vector<Ticket> tickets;
+      for (const CallRequest& r : reqs) tickets.push_back(batched.submit(r));
+      EXPECT_EQ(batched.pending(), reqs.size());
+      EXPECT_EQ(batched.drain_all(), reqs.size());
+      EXPECT_EQ(batched.pending(), 0u);
+
+      std::vector<RejectReason> verdict(reqs.size());
+      for (const std::size_t i : order) {
+        const Outcome want = immediate.call(reqs[i]);
+        const auto got = batched.poll(tickets[i]);
+        ASSERT_TRUE(got.has_value()) << "request " << i;
+        EXPECT_FALSE(batched.poll(tickets[i]).has_value());  // taken once
+        EXPECT_EQ(got->reject, want.reject) << "request " << i;
+        EXPECT_EQ(got->path_length, want.path_length) << "request " << i;
+        EXPECT_EQ(got->tag, i);
+        EXPECT_EQ(got->deferrals, epoch_of[i]) << "request " << i;
+        if (want.connected() && got->connected()) {
+          EXPECT_EQ(batched.path_of(got->id), immediate.path_of(want.id))
+              << "request " << i;
+        }
+        verdict[i] = want.reject;
+        connected += want.connected();
+        terminal_busy += want.reject == RejectReason::kTerminalBusy;
+        no_path += want.reject == RejectReason::kNoPath;
+      }
+      // The crafted head resolved as described above.
+      const bool cut = !c.blocked_edges.empty();
+      EXPECT_EQ(verdict[0], cut ? RejectReason::kNoPath : RejectReason::kNone);
+      EXPECT_EQ(verdict[1],
+                cut ? RejectReason::kNone : RejectReason::kTerminalBusy);
+      EXPECT_EQ(verdict[2], RejectReason::kNone);
+      EXPECT_EQ(verdict[3], RejectReason::kTerminalBusy);
+      EXPECT_EQ(verdict[4], RejectReason::kNone);
+
+      const ExchangeStats a = immediate.stats();
+      const ExchangeStats b = batched.stats();
+      EXPECT_EQ(a.router.accepted, b.router.accepted);
+      EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
+      EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
+      EXPECT_EQ(b.submitted, reqs.size());
+      EXPECT_EQ(b.admitted, reqs.size());
+      EXPECT_EQ(b.completed, reqs.size());
+      EXPECT_EQ(b.epochs, epoch_of[order.back()] + 1);
+      EXPECT_EQ(b.refused, 0u);
+      EXPECT_EQ(immediate.active_calls(), batched.active_calls());
+    }
+  }
+  // Every verdict class the window books can take was exercised.
+  EXPECT_GT(connected, 0u);
+  EXPECT_GT(terminal_busy, 0u);
+  EXPECT_GT(no_path, 0u);
+}
+
+TEST(Exchange, BatchedUnboundedMatchesImmediate) {
+  expect_drain_matches_call(0);
+}
+
+TEST(Exchange, BatchedFixedWindowMatchesImmediateInAdmissionOrder) {
+  expect_drain_matches_call(16);
 }
 
 TEST(Exchange, FixedWindowDefersBeyondTheWindow) {

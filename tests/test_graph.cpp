@@ -118,6 +118,26 @@ TEST(Dsu, TransitiveUnions) {
   EXPECT_EQ(d.component_count(), 3u);
 }
 
+TEST(Dsu, ResetVertexRestoresWholeClasses) {
+  Dsu d(6);
+  d.unite(0, 1);
+  d.unite(1, 2);
+  d.unite(3, 4);
+  EXPECT_EQ(d.component_count(), 3u);
+  // Resetting every member of {0, 1, 2} (one twice) splits it back into
+  // singletons; {3, 4} is untouched.
+  for (const std::uint32_t x : {2u, 0u, 1u, 0u}) d.reset_vertex(x);
+  EXPECT_EQ(d.component_count(), 5u);
+  EXPECT_FALSE(d.same(0, 1));
+  EXPECT_FALSE(d.same(1, 2));
+  EXPECT_EQ(d.class_size(0), 1u);
+  EXPECT_TRUE(d.same(3, 4));
+  EXPECT_EQ(d.class_size(4), 2u);
+  EXPECT_TRUE(d.unite(2, 3));
+  EXPECT_EQ(d.class_size(2), 3u);
+  EXPECT_EQ(d.component_count(), 4u);
+}
+
 TEST(Bfs, DirectedDistancesOnPath) {
   const auto g = path_graph(5);
   const VertexId src[1] = {0};

@@ -236,10 +236,11 @@ TEST(Relabel, WeldedOverlayKeepsVerdictParity) {
 // ---------------------------------------------------------------------------
 // Service-plane pins: the whole Exchange surface addresses terminals by
 // index, so a relabeled network must be a drop-in replacement — including
-// the wave drain and the fault plane (events address switches by edge id).
+// the batched drain and the fault plane (events address switches by edge
+// id).
 // ---------------------------------------------------------------------------
 
-TEST(Relabel, ExchangeWaveDrainOutcomesMatch) {
+TEST(Relabel, ExchangeDrainOutcomesMatch) {
   const auto base = networks::build_cantor({4, 0});
   const auto hot = graph::relabel_locality(base);
   const auto n = static_cast<std::uint32_t>(base.inputs.size());
@@ -248,7 +249,6 @@ TEST(Relabel, ExchangeWaveDrainOutcomesMatch) {
     svc::ExchangeConfig cfg;
     cfg.backend = svc::Backend::kConcurrent;
     cfg.sessions = 1;  // deterministic drain order
-    cfg.wave_drain = true;
     return std::make_unique<svc::Exchange>(net, std::move(cfg));
   };
   auto ex_a = make(base);
@@ -314,7 +314,6 @@ TEST(Relabel, HomedDrainRoutesByInputRange) {
   svc::ExchangeConfig cfg;
   cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = kSessions;
-  cfg.wave_drain = true;
   cfg.home_sessions = true;
   svc::Exchange ex(hot, std::move(cfg));
   ASSERT_EQ(ex.sessions(), kSessions);

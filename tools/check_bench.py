@@ -7,16 +7,16 @@ Compares a fresh smoke run against the committed baseline file and fails
 
 Two metric families are gated independently:
   - calls/sec (throughput, higher is better)
-  - visits/connect (search work per request, LOWER is better — the wave
-    search's and the single-pair early exit's win; a silent visit blow-up
-    precedes a throughput loss on bigger networks)
+  - visits/connect (search work per request, LOWER is better — the
+    single-pair early exit's win; a silent visit blow-up precedes a
+    throughput loss on bigger networks)
 
 Series keyed so runs with different sweeps still match up:
   - the aggregate "calls_per_sec"
   - per-network churn points        (networks[].name)
   - the thread-scaling curve        (thread_scaling.points[].threads)
   - the batched-admission series    (batched_admission.points[].batch)
-  - the deep-network wave point     (batched_admission_k7.points[].batch)
+  - the deep-network batched point  (batched_admission_k7.points[].batch)
   - the degraded-mode series        (degraded_mode.points[].eps)
   - the locality-relabel pairs      (relabel.points[].network + .mode)
   - the affinity sweep              (affinity_scaling.points[].policy —
