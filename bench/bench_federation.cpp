@@ -3,7 +3,7 @@
 // (tools/check_bench.py gates every point like the single-exchange ones).
 //
 // Three sweeps plus one gate, all deterministic churn (25% hangup) against
-// svc::Federation on the greedy backend:
+// svc::Federation with one-session members:
 //
 //  1. "sweep"    — the tentpole curve: a FIXED plant of 256 terminals served
 //                  by 1 -> 8 exchanges (cantor-k8 whole, down to 8x
@@ -85,7 +85,6 @@ FedMeasure fed_churn(const graph::Network& member_net, unsigned shards,
                      std::uint32_t subscribers, double inter_fraction,
                      std::size_t ops) {
   svc::FederationConfig cfg;
-  cfg.backend = svc::Backend::kGreedy;
   cfg.subscribers = subscribers;
   cfg.topology = topology;
   svc::Federation fed(member_net, shards, cfg);
@@ -296,7 +295,8 @@ int run(const std::string& json_path, std::size_t repeats, bool scaleout) {
 
   std::ostringstream block;
   block << "{\"workload\": \"deterministic federation churn, 25% hangup, "
-        << "greedy members\", \"repeats\": " << repeats << ", \"points\": [";
+        << "one-session members\", \"repeats\": " << repeats
+        << ", \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i)
     append_point(block, points[i], i + 1 == points.size());
   block << "], \"intra_gate\": {\"network\": \"cantor-k5\", "

@@ -7,11 +7,11 @@
 // routing full random permutations on damaged instances.
 //
 // The churn workloads are served through svc::Exchange — the service facade
-// every consumer now speaks — on the greedy backend (--json), the sharded
-// concurrent backend (--threads=K immediate plane), the batched admission
+// every consumer now speaks — on one session (--json), on K sessions
+// (--threads=K immediate plane), the batched admission
 // front-end (--batch=N epochs at the max worker count), and the runtime
 // fault plane (--faults=EPS: the batched churn degraded by live switch
-// fail/repair events, eps swept in decades). BM_GreedyConnect vs
+// fail/repair events, eps swept in decades). BM_RouterConnect vs
 // BM_ExchangeCall isolates the facade's handle + classification overhead
 // over the raw router. The locality plane gets its own A/B series: the
 // relabel pair (builder-order vs finalize(kLocality) ids, same churn) and
@@ -91,20 +91,21 @@ void BM_RepairByDiscard(benchmark::State& state) {
 }
 BENCHMARK(BM_RepairByDiscard)->Arg(1)->Arg(2)->Arg(3);
 
-void BM_GreedyConnect(benchmark::State& state) {
+void BM_RouterConnect(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));
-  core::GreedyRouter router(ft.net);
+  core::Router router(ft.net, 1);
+  auto& session = router.worker(0);
   const auto n = static_cast<std::uint32_t>(ft.n());
   std::uint32_t i = 0;
   for (auto _ : state) {
-    const auto call = router.connect(i % n, (i * 7 + 3) % n);
-    if (call != core::GreedyRouter::kNoCall) router.disconnect(call);
+    const auto call = session.connect(i % n, (i * 7 + 3) % n);
+    if (call != core::Router::kNoCall) session.disconnect(call);
     ++i;
   }
 }
-BENCHMARK(BM_GreedyConnect)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_RouterConnect)->Arg(1)->Arg(2)->Arg(3);
 
-// Same loop through the service facade: the delta over BM_GreedyConnect is
+// Same loop through the service facade: the delta over BM_RouterConnect is
 // the cost of typed outcomes + generation-tagged handles.
 void BM_ExchangeCall(benchmark::State& state) {
   const auto& ft = shared_ft(static_cast<std::uint32_t>(state.range(0)));
@@ -160,7 +161,7 @@ void print_success_table() {
 
 // ---------------------------------------------------------------------------
 // --json=PATH smoke mode: a fixed deterministic connect/disconnect churn on a
-// few networks, served through svc::Exchange on the greedy backend and
+// few networks, served through svc::Exchange on one session and
 // reporting aggregate call()s/sec. The emitted file preserves any
 // "baseline_calls_per_sec" already present at PATH, so the committed
 // pre-refactor baseline survives re-runs and CI can track speedup.
@@ -335,7 +336,7 @@ GrowthMeasure growth_churn(std::size_t ops) {
 
 // ---------------------------------------------------------------------------
 // --threads=K thread-scaling mode: the same churn served by one Exchange
-// over the sharded concurrent backend with T sessions, T swept up to K.
+// over T router sessions, T swept up to K.
 // Each OS thread drives its own session on the immediate plane; stats are
 // the exchange's merged books. Total operation count is held constant
 // across T so calls/sec is directly comparable along the curve.
@@ -358,7 +359,6 @@ struct ScalingPoint {
 ScalingPoint concurrent_churn(const graph::Network& net, unsigned threads,
                               std::size_t total_ops) {
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = threads;
   svc::Exchange exchange(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
@@ -463,7 +463,6 @@ BatchedPoint batched_churn(
     util::AffinityPolicy affinity = util::AffinityPolicy::kNone,
     bool home_sessions = false) {
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
   cfg.affinity = affinity;
   cfg.home_sessions = home_sessions;
@@ -565,7 +564,6 @@ DegradedPoint degraded_churn(const graph::Network& net, unsigned sessions,
                              double eps, std::size_t total_ops,
                              std::uint64_t seed) {
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
   svc::Exchange exchange(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
@@ -692,7 +690,6 @@ PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
                          bool overlay, double eps, std::size_t ticks,
                          std::size_t arrivals_per_tick, std::size_t window) {
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
   if (overlay)
     cfg.admission = std::make_unique<svc::OverlayAdaptiveAdmission>(window);
@@ -864,7 +861,7 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
       << reject_key(svc::RejectReason::kContention, merged.rejected_contention)
       << "},\n";
 
-  // Thread-scaling curve: the same churn on the concurrent backend,
+  // Thread-scaling curve: the same churn on K router sessions,
   // immediate plane, one session per OS thread.
   double unbatched_at_max = 0.0;
   if (max_threads >= 1) {

@@ -108,11 +108,12 @@ int main() {
         std::iota(outs.begin(), outs.end(), 0u);
         util::shuffle(ins, prng);
         util::shuffle(outs, prng);
-        core::GreedyRouter router(host.network(),
-                                  inst.faulty_non_terminal_mask(),
-                                  inst.failed_edge_mask());
+        core::Router router(host.network(), 1,
+                            inst.faulty_non_terminal_mask(),
+                            inst.failed_edge_mask());
+        auto& session = router.worker(0);
         for (int i = 0; i < 4 && ok; ++i)
-          ok = router.connect(ins[i], outs[i]) != core::GreedyRouter::kNoCall;
+          ok = session.connect(ins[i], outs[i]) != core::Router::kNoCall;
       }
       if (ok) sub_ok.fetch_add(1, std::memory_order_relaxed);
     });

@@ -69,7 +69,6 @@ RoundResult run_round(const graph::Network& net, std::size_t r,
 
   // Serve the pairing: batch-submit, drain in admission epochs of 8.
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
   if (faulty) cfg.blocked = *faulty;
   cfg.admission = std::make_unique<svc::FixedWindowAdmission>(8);

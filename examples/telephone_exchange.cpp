@@ -230,7 +230,6 @@ int run_daemon(unsigned sessions) {
   using namespace ftcs;
   const auto ft = core::build_ft_network(core::FtParams::sim(2, 8, 6, 1, 5));
   svc::FederationConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
   svc::Federation fed(ft.net, 2, cfg);
   ops::ControlPlane control(fed, "telephone-exchange");
@@ -400,7 +399,6 @@ int run_daemon_solo(unsigned sessions) {
   // the exchange owns its (grown) network internally.
   const auto cantor = networks::build_cantor({5, 0});  // "cantor-32-m5"
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = sessions;
   svc::Exchange ex(cantor, std::move(cfg));
   ops::ControlPlane control(ex, "telephone-exchange-solo");
@@ -557,10 +555,7 @@ int main(int argc, char** argv) {
   svc::ExchangeConfig cfg;
   cfg.blocked = worn.faulty_non_terminal_mask();
   cfg.blocked_edges = worn.failed_edge_mask();
-  if (sessions > 1) {
-    cfg.backend = svc::Backend::kConcurrent;
-    cfg.sessions = sessions;
-  }
+  cfg.sessions = sessions;
   svc::Exchange exchange(ft.net, std::move(cfg));
   // ~0.05 failures per switch over the day (a couple hundred outages on
   // this exchange), two-hour mean repair: a violent but survivable storm.

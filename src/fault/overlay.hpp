@@ -1,6 +1,6 @@
 // Liveness overlay construction: the bridge between the offline Monte Carlo
 // fault path (FaultInstance -> repair/rebuild) and the runtime fault plane
-// (routers' fail_edge/contract_edge/kill_vertex on the FULL network).
+// (the router's fail_edge/contract_edge/kill_vertex on the FULL network).
 //
 // Instead of rebuilding a surviving network, an overlay marks the same
 // components dead — or welded — in place:
@@ -25,7 +25,7 @@
 namespace ftcs::fault {
 
 /// Byte masks over the ORIGINAL network's vertices and edges; 1 = dead
-/// (or, for contracted_edges, welded conducting). Apply via the routers'
+/// (or, for contracted_edges, welded conducting). Apply via the router's
 /// kill_vertex()/fail_edge()/contract_edge() or feed to svc::Exchange.
 struct LivenessOverlay {
   std::vector<std::uint8_t> dead_vertices;

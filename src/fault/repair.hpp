@@ -12,7 +12,7 @@
 // endpoints the edge is contracted — the endpoints merge into one
 // electrical node. Open failures still discard as above. This offline
 // rebuild is the reference the live fault plane's runtime contraction
-// (routers' contract_edge) is equivalence-tested against.
+// (the router's contract_edge) is equivalence-tested against.
 #pragma once
 
 #include <cstdint>

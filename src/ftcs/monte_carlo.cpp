@@ -25,13 +25,14 @@ namespace {
 // "given any set of vertex-disjoint paths", sampled).
 bool busy_probe(const FtNetwork& ft, const std::vector<std::uint8_t>& faulty,
                 std::size_t count, std::uint64_t seed) {
-  GreedyRouter router(ft.net, faulty);
+  Router router(ft.net, 1, faulty);
+  auto& session = router.worker(0);
   util::Xoshiro256 rng(seed);
   for (std::size_t c = 0; c < count; ++c) {
     const auto in = static_cast<std::uint32_t>(rng.below(ft.net.inputs.size()));
     const auto out = static_cast<std::uint32_t>(rng.below(ft.net.outputs.size()));
     if (!router.input_idle(in) || !router.output_idle(out)) continue;
-    (void)router.connect(in, out);  // a failed connect leaves state unchanged
+    (void)session.connect(in, out);  // a failed connect leaves state unchanged
   }
   const auto busy = router.busy_mask();
   return ft_majority_access(ft, faulty, busy).majority();
@@ -97,9 +98,10 @@ bool baseline_survival_trial(const graph::Network& net,
   util::shuffle(ins, rng);
   util::shuffle(outs, rng);
 
-  GreedyRouter router(net, faulty, instance.failed_edge_mask());
+  Router router(net, 1, faulty, instance.failed_edge_mask());
+  auto& session = router.worker(0);
   for (std::size_t i = 0; i < pairs; ++i) {
-    if (router.connect(ins[i], outs[i]) == GreedyRouter::kNoCall) return false;
+    if (session.connect(ins[i], outs[i]) == Router::kNoCall) return false;
   }
   return true;
 }

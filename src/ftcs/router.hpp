@@ -2,50 +2,124 @@
 // contained network is strictly nonblocking, routing can be performed by a
 // greedy application of a standard path-finding algorithm").
 //
-// The router owns the busy-state of a network (plus a static blocked mask
-// for faulty vertices) and serves connect/disconnect requests. connect()
-// finds a shortest idle path by BFS; on a strictly nonblocking (surviving)
-// network this never fails for a request between idle terminals.
+// core::Router owns the busy state of a network (plus static blocked masks
+// for faulty vertices and switches) and serves connect/disconnect requests
+// through N sessions (Workers) over ONE shared immutable CSR network. Each
+// connect finds a shortest idle path with the shared bidirectional BFS
+// (ftcs/search.hpp); on a strictly nonblocking (surviving) network this never
+// fails for a request between idle terminals. A 1-session Router is the
+// paper's greedy router: it routes one request at a time, and its claims
+// can never conflict.
 //
-// Hot-path design: connect() performs NO heap allocation after construction.
-//   - the search is a level-synchronized BIDIRECTIONAL BFS (forward along
-//     out-edges from the input, backward along in-edges from the output,
-//     always expanding the smaller frontier) — still returns a shortest idle
-//     path, but explores O(f^(d/2)) instead of O(f^d) vertices on the
-//     layered networks of §6, and detects "no idle path" as soon as either
-//     frontier dies;
-//   - visited state is epoch-stamped (one bulk clear per 2^32 calls instead
-//     of one per call) with parent arrays per direction for path recovery;
-//   - frontiers are preallocated ring buffers of vertex_count slots (each
-//     vertex enters a queue at most once per search);
-//   - busy / blocked vertex and edge state live in packed bitsets
-//     (util::Bitset), 64 vertices per cache word;
-//   - settled paths are threaded through a per-vertex successor array
-//     (path_next_): a vertex carries at most one call, so one VertexId per
-//     vertex stores every active path with zero per-call storage.
-// Per-call counters are collected in RouterStats for the benches.
+// Why N sessions are sound (§4): the contained network is strictly
+// nonblocking, so one greedy search can never destroy another's feasibility
+// — concurrent searches race only on WHICH idle vertices they grab, never on
+// whether a route exists. That is the optimistic resource-packing structure:
+// search on a dirty snapshot, claim with CAS, retry on conflict.
 //
-// The search itself lives in ftcs/search.hpp and is shared with
-// core::ConcurrentRouter (concurrent_router.hpp), which runs N of these
-// searches in parallel over one network with CAS-claimed busy state; this
-// single-owner router remains the fastest option for one thread and the
-// reference semantics the concurrent engine is tested against.
+// Protocol per connect(in, out), executed by a Worker (one per thread):
+//   1. TERMINAL ACQUIRE — CAS the input slot, then the output slot, in the
+//      shared AtomicBitsets. Failure → rejected_terminal (slot released in
+//      reverse order on partial acquire).
+//   2. SEARCH — the shared epoch-stamped bidirectional BFS (ftcs/search.hpp)
+//      runs on the worker's PRIVATE scratch, reading the shared busy bitset
+//      with RELAXED loads: a dirty snapshot, deliberately unvalidated. No
+//      idle path → rejected_no_path.
+//   3. CLAIM — the settled path's vertices are claimed one-by-one with
+//      word-level CAS (AtomicBitset::try_set, acq_rel) in CANONICAL order
+//      (ascending vertex id). Canonical order makes two overlapping claims
+//      collide at their smallest shared vertex, so the loser has claimed as
+//      little as possible before backing off.
+//   4. CONFLICT — on a failed CAS the worker RELEASES every vertex it
+//      claimed for this attempt (release order: the claim prefix, reversed)
+//      and re-runs step 2 against the fresher busy state; claim_conflicts
+//      and search_retries count these. After kMaxClaimRetries failed
+//      attempts the call is rejected (rejected_contention) — bounded work
+//      per call, no livelock.
+//   5. SETTLE — with every path vertex owned, the worker threads the path
+//      through the shared per-vertex successor array (a vertex carries at
+//      most one call, so one VertexId per vertex stores every active path)
+//      and records the call in its private call table.
+// connect() and disconnect() perform no heap allocation after a session's
+// first connect: visited state is epoch-stamped, frontiers are preallocated
+// rings, and the call tables are reserved to their bound.
+//
+// Memory-ordering contract (see util/atomic_bitset.hpp):
+//   - busy_.try_set is acq_rel: a successful claim of v synchronizes-with
+//     the busy_.reset(v) (release) of v's previous owner, so the owner's
+//     writes to path_next_[v] are visible before anyone re-claims v. All
+//     bitset-word writes are RMWs, so intervening claims of OTHER bits in
+//     the same word do not break the release sequence.
+//   - path_next_[v] is plain (non-atomic) data OWNED by whoever holds busy
+//     bit v: written only between a successful try_set(v) and the matching
+//     reset(v). disconnect() reads the successor BEFORE releasing the bit.
+//   - BFS busy reads are relaxed; every positive routing decision is
+//     re-validated by the claim CAS, so stale reads cost retries, not
+//     correctness.
+//
+// Liveness overlay (runtime fault plane): dead_edges_ is an AtomicBitset the
+// BFS consults alongside the busy state (relaxed loads — the same dirty-
+// snapshot discipline as busy reads). fail_edge()/repair_edge() MAY race
+// in-flight connects: after a worker claims a settled path it RE-VALIDATES
+// every hop against the overlay with acquire loads, releasing the claim and
+// re-searching on a hit (overlay_conflicts). The guarantee is the usual
+// happens-before one: a connect that starts after fail_edge(e) completes
+// (ordering established by the caller — a flag, a mutex, the Exchange's
+// session ownership) can never settle a path through e. A connect already
+// past validation when the flip lands keeps its path; reconciling those
+// stragglers is the fault plane's job (svc::Exchange::inject tears them
+// down while holding every session). kill_vertex()/revive_vertex() fold
+// vertex death into the busy bitset (a dead vertex holds its own busy bit,
+// so searches and claims avoid it with no extra state) and therefore
+// require quiescence: no connect in flight on any session, victims torn
+// down first — the same contract as Exchange::drain().
+//
+// CLOSED failures (stuck-on switches, §2 contraction): contracted_edges_ is
+// a second AtomicBitset under the same dirty-snapshot discipline — the BFS
+// reads it relaxed and treats a contracted switch as a zero-cost hop that
+// conducts in BOTH directions (see ftcs/search.hpp). welded_vertices_ marks
+// the endpoints of live welds (the search's per-vertex weld gate) and
+// contracted_count_ counts outstanding welds (the search picks its welded
+// instantiation while it is nonzero). Writers are serialized (one at a
+// time, the fault plane's drain() contract) and order their stores so a
+// racing search can only miss a weld: contract raises the count, then the
+// vertex bits, then the edge bit; uncontract clears the edge bit, then the
+// vertex bits, then lowers the count. contract_edge()/uncontract_edge() may
+// race in-flight connects exactly like fail_edge(): a stuck flip observed
+// mid-search costs at most a suboptimal-but-valid path (the hop is
+// conducting either way), and the post-claim re-validation accepts a hop
+// carried by a live parallel switch OR by a contracted one in either
+// direction. The one genuine hazard is stuck -> repaired: a settled path
+// that crossed the weld AGAINST the edge direction is electrically severed
+// by the repair; as with open-failure stragglers, reconciling those calls
+// is the fault plane's job (svc::Exchange::repair sweeps victims while
+// holding every session).
+//
+// Ownership model: a Worker is a single-threaded session — exactly one
+// thread may use worker(w) at a time, and a call must be disconnected
+// through the worker that connected it (call tables are per-worker, like
+// sharded session state). Aggregate readers (stats(), busy_vertices(),
+// active_calls(), busy_mask()) are exact only at quiescence (no concurrent
+// connects); they are meant for end-of-run reporting, not for the hot path.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <optional>
+#include <deque>
 #include <span>
 #include <vector>
 
 #include "ftcs/search.hpp"
 #include "graph/digraph.hpp"
+#include "util/atomic_bitset.hpp"
 #include "util/bitset.hpp"
+#include "util/cpu_topology.hpp"
 
 namespace ftcs::core {
 
-/// Counter block filled by the routers; reset with reset_stats().
-/// Mergeable: operator+= aggregates per-worker blocks (ConcurrentRouter)
-/// and per-network blocks (bench_routing) into one summary.
+/// Counter block filled per session; reset with reset_stats(). Mergeable:
+/// operator+= aggregates per-session blocks (Router::stats()) and
+/// per-network blocks (bench_routing) into one summary.
 struct RouterStats {
   std::uint64_t connect_calls = 0;     // connect() invocations
   std::uint64_t accepted = 0;          // calls that settled a path
@@ -54,7 +128,8 @@ struct RouterStats {
   std::uint64_t disconnects = 0;
   std::uint64_t vertices_visited = 0;  // BFS visits across all searches
   std::uint64_t path_vertices = 0;     // total length of settled paths
-  // Concurrent-engine counters (always 0 for GreedyRouter):
+  // Contention counters (always 0 with one session and no overlay flip
+  // racing a connect: nothing can then invalidate a settled path):
   std::uint64_t claim_conflicts = 0;      // CAS lost a vertex to another worker
   std::uint64_t search_retries = 0;       // searches re-run after a conflict
   std::uint64_t rejected_contention = 0;  // gave up after the retry budget
@@ -104,72 +179,124 @@ struct RouterStats {
   }
 };
 
-class GreedyRouter {
+class Router {
  public:
-  /// `blocked` marks statically unusable vertices (e.g. faulty); may be
-  /// empty. `blocked_edges` likewise for switches. The network must outlive
-  /// the router. All scratch state is allocated here, once.
-  explicit GreedyRouter(const graph::Network& net,
-                        std::vector<std::uint8_t> blocked = {},
-                        std::vector<std::uint8_t> blocked_edges = {});
-
-  /// Call handle; valid until disconnect.
+  /// Call handle, per session; valid until disconnect.
   using CallId = std::uint32_t;
   static constexpr CallId kNoCall = static_cast<CallId>(-1);
+  /// Failed claim attempts per call before rejecting with
+  /// rejected_contention. Conflicts need two calls' paths to overlap in the
+  /// same instant, so even 2 retries are rarely consumed; 16 bounds the
+  /// pathological case without ever rejecting a realistic workload.
+  static constexpr unsigned kMaxClaimRetries = 16;
 
-  /// Connects input index `in` to output index `out` (indices into the
-  /// network's terminal lists). Returns kNoCall if either terminal is busy/
-  /// blocked or no idle path exists. Allocation-free.
-  CallId connect(std::uint32_t in, std::uint32_t out);
+  /// `workers` fixes the session count (0 means 1). `blocked` marks
+  /// statically unusable vertices (e.g. faulty) and `blocked_edges`
+  /// statically unusable switches; either may be empty. The network must
+  /// outlive the router; GLOBAL scratch is allocated here, once. Per-worker
+  /// scratch is built lazily on the worker's FIRST connect — on the thread
+  /// that owns the session — so with a pinned thread pool the scratch pages
+  /// first-touch onto the owning worker's NUMA node instead of the
+  /// constructing thread's.
+  Router(const graph::Network& net, unsigned workers,
+         std::vector<std::uint8_t> blocked = {},
+         std::vector<std::uint8_t> blocked_edges = {});
 
-  /// Releases a call and frees its path. Allocation-free.
-  void disconnect(CallId call);
+  // Pinned: every Worker holds a back-pointer to this router, so moving the
+  // router would leave its sessions dangling into the moved-from object.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
+  Router(Router&&) = delete;
+  Router& operator=(Router&&) = delete;
 
-  /// Hitless growth: rebinds the router to the grown network `net`, carrying
-  /// every live call across. `vmap` maps each old vertex id to its grown id
-  /// (the graph::GrownNetwork contract: injective, edge ids stable, terminal
-  /// indices prefix-stable). All vertex-indexed state — busy/blocked masks,
-  /// the overlay registries, the successor array, call heads — is remapped
-  /// through vmap; edge-indexed state extends in place at its stable ids;
-  /// terminal slots extend with idle tail entries. Call ids survive
-  /// unchanged (slot tables are never reordered), so existing handles stay
-  /// valid. QUIESCENT ONLY: no connect/disconnect in flight — the same
-  /// contract as kill_vertex(). The new network must outlive the router.
-  void grow(const graph::Network& net, std::span<const graph::VertexId> vmap);
+  /// One routing session; use from ONE thread at a time. Obtained via
+  /// worker(w); lives as long as the router. Cache-line aligned so one
+  /// session's hot state (stats counters, call table heads) never
+  /// false-shares with its neighbours in the workers_ deque.
+  class alignas(util::kCacheLineBytes) Worker {
+   public:
+    /// Steps 1-5 above: connects input index `in` to output index `out`
+    /// (indices into the network's terminal lists). Returns kNoCall on busy
+    /// terminal, no idle path, or claim-retry exhaustion (see stats).
+    /// Allocation-free after this worker's first call (which first-touch
+    /// builds the session scratch).
+    CallId connect(std::uint32_t in, std::uint32_t out);
+    /// Releases a call made through THIS worker. Allocation-free.
+    void disconnect(CallId call);
 
-  [[nodiscard]] bool input_idle(std::uint32_t in) const;
-  [[nodiscard]] bool output_idle(std::uint32_t out) const;
-  [[nodiscard]] std::size_t input_count() const { return in_busy_.size(); }
-  [[nodiscard]] std::size_t output_count() const { return out_busy_.size(); }
-  [[nodiscard]] std::size_t active_calls() const noexcept { return active_; }
+    /// Vertices of a call's path, input first (cold path: materializes from
+    /// the successor array).
+    [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const;
+    /// Path length in vertices, O(1).
+    [[nodiscard]] std::size_t path_length(CallId call) const {
+      return calls_[call].length;
+    }
+    /// Ids of this worker's active calls (cold path; for draining/tests).
+    [[nodiscard]] std::vector<CallId> active_call_ids() const;
 
-  /// Vertices of a call's path, input first (cold path: materializes from
-  /// the successor array).
-  [[nodiscard]] std::vector<graph::VertexId> path_of(CallId call) const;
-  /// Path length in vertices, O(1).
-  [[nodiscard]] std::size_t path_length(CallId call) const {
-    return calls_[call].length;
+    [[nodiscard]] const RouterStats& stats() const noexcept { return stats_; }
+    void reset_stats() noexcept { stats_ = RouterStats{}; }
+    [[nodiscard]] std::size_t active_calls() const noexcept { return active_; }
+    /// Total vertices held by this worker's active calls.
+    [[nodiscard]] std::size_t busy_vertices() const noexcept {
+      return busy_count_;
+    }
+
+   private:
+    friend class Router;
+    struct Call {
+      std::uint32_t in = 0, out = 0;
+      graph::VertexId head = graph::kNoVertex;  // kNoVertex = slot free
+      std::uint32_t length = 0;                 // vertices on the path
+    };
+
+    explicit Worker(Router& r);
+
+    /// Builds the session scratch (search arrays, call table) on first use,
+    /// i.e. on the thread that owns this session — the first-touch point
+    /// for every page the hot path walks.
+    void ensure_scratch();
+
+    Router* r_;
+    detail::SearchScratch scratch_;
+    std::vector<graph::VertexId> path_buf_;   // settled path, src..dst
+    std::vector<graph::VertexId> claim_buf_;  // same vertices, ascending id
+    std::vector<Call> calls_;
+    std::vector<CallId> free_slots_;
+    std::size_t active_ = 0;
+    std::size_t busy_count_ = 0;
+    bool scratch_ready_ = false;
+    RouterStats stats_;
+  };
+
+  [[nodiscard]] Worker& worker(unsigned w) { return workers_[w]; }
+  [[nodiscard]] unsigned worker_count() const noexcept {
+    return static_cast<unsigned>(workers_.size());
   }
 
-  // ----------------------------------------------------------------------
-  // Liveness overlay (runtime fault plane). Unlike the static `blocked` /
-  // `blocked_edges` construction masks, these flip while the router serves
-  // traffic. Semantics follow §6: the fault unit is the switch (edge); a
-  // vertex dies when the fault plane decides its incident switches make it
-  // unusable. The overlay folds into the hot-path state — a dead vertex
-  // holds its own busy bit, a failed switch its blocked_edges_ bit — so
-  // connect() pays nothing for the capability until a fault exists.
-  //
-  // Preconditions (the svc::Exchange fault plane upholds them):
-  //   - kill_vertex(v): no active call traverses v (tear victims down
-  //     first); idempotent on an already-dead vertex.
-  //   - revive_vertex(v) / repair_edge(e): only meaningful for components
-  //     the fault plane killed; statically blocked state is never released.
+  [[nodiscard]] bool input_idle(std::uint32_t in) const {
+    return !in_busy_.test(in) && !blocked_.test(net_->inputs[in]);
+  }
+  [[nodiscard]] bool output_idle(std::uint32_t out) const {
+    return !out_busy_.test(out) && !blocked_.test(net_->outputs[out]);
+  }
+  [[nodiscard]] bool is_busy(graph::VertexId v) const {
+    return busy_.test(v, std::memory_order_acquire);
+  }
+  /// Busy mask as bytes: blocked | dead | on an active path (cold path;
+  /// exact at quiescence).
+  [[nodiscard]] std::vector<std::uint8_t> busy_mask() const {
+    return busy_.to_bytes();
+  }
 
-  /// Marks switch `e` failed: no future path may use it. Idempotent.
+  // ------------------------------------------------------ liveness overlay
+  // See the header comment for the memory-ordering and quiescence contract.
+
+  /// Marks switch `e` failed. Safe to call while connects are in flight on
+  /// other threads (atomic flip + claim-phase re-validation). Idempotent.
   void fail_edge(graph::EdgeId e);
-  /// Clears a runtime switch failure. A statically blocked edge stays
-  /// blocked. Idempotent.
+  /// Clears a runtime switch failure (statically blocked edges stay
+  /// blocked). Safe under the same racing contract as fail_edge().
   void repair_edge(graph::EdgeId e);
   /// Marks switch `e` STUCK ON (closed failure, §2): the contact is welded
   /// conducting, so the search crosses it as a zero-cost forced hop — in
@@ -177,95 +304,98 @@ class GreedyRouter {
   /// runtime analogue of contraction; the CSR graph is never mutated.
   /// Occupancy still applies to the hop's endpoints (the merged electrical
   /// node carries at most one call). An open-failed or statically blocked
-  /// switch cannot be contracted into service: the blocked mask wins.
-  /// Idempotent.
+  /// switch cannot be contracted into service: the blocked mask wins. Safe
+  /// while connects are in flight (atomic flip + claim-phase
+  /// re-validation); one contract/uncontract caller at a time. Idempotent.
   void contract_edge(graph::EdgeId e);
-  /// Clears a stuck-on state (the switch is repaired to normal). Calls
-  /// that crossed the weld AGAINST the edge direction are now electrically
-  /// severed — reconciling them is the fault plane's job
-  /// (svc::Exchange::repair sweeps victims). Idempotent.
+  /// Clears a stuck-on state. Calls that crossed the weld against the edge
+  /// direction are severed — the fault plane sweeps them (see the header
+  /// comment). Same racing contract as contract_edge(). Idempotent.
   void uncontract_edge(graph::EdgeId e);
-  /// Marks `v` dead and claims its busy bit (unless already blocked/busy).
+  /// Marks `v` dead and fault-claims its busy bit. QUIESCENT ONLY: no
+  /// connect in flight, no active call through v. Idempotent.
   void kill_vertex(graph::VertexId v);
-  /// Revives a dead vertex, releasing the busy bit iff the fault plane
-  /// claimed it.
+  /// Revives a dead vertex (releases the busy bit iff fault-claimed).
+  /// QUIESCENT ONLY.
   void revive_vertex(graph::VertexId v);
 
+  /// Hitless growth: rebinds the router to the grown network `net`,
+  /// carrying every live call on every worker across. `vmap` maps each old
+  /// vertex id to its grown id (the graph::GrownNetwork contract: injective,
+  /// edge ids stable, terminal indices prefix-stable). Vertex-indexed state
+  /// is remapped through vmap, edge-indexed state extends at its stable
+  /// ids, terminal slots extend with idle tail entries. Call slot tables are
+  /// never reordered, so call ids survive and existing handles stay valid.
+  /// The shared atomic bitsets are REBUILT at the grown size
+  /// (AtomicBitset::resize clears, so live bits are snapshotted and re-set
+  /// through vmap), and every worker's session scratch is invalidated so
+  /// its next connect first-touches the grown arrays on the owning thread —
+  /// the NUMA discipline of construction, preserved across growth.
+  /// QUIESCENT ONLY: no connect/disconnect in flight on ANY worker — the
+  /// kill_vertex/drain() contract the Exchange's growth path holds. The new
+  /// network must outlive the router.
+  void grow(const graph::Network& net, std::span<const graph::VertexId> vmap);
+
   [[nodiscard]] bool vertex_dead(graph::VertexId v) const {
-    return !dead_.empty() && dead_.test(v);
+    return dead_vertices_.test(v);
   }
   [[nodiscard]] bool edge_failed(graph::EdgeId e) const {
-    return !dead_edges_.empty() && dead_edges_.test(e);
+    return dead_edges_.test(e, std::memory_order_acquire);
   }
   [[nodiscard]] bool edge_contracted(graph::EdgeId e) const {
-    return !contracted_edges_.empty() && contracted_edges_.test(e);
+    return contracted_edges_.test(e, std::memory_order_acquire);
   }
-  /// Weld-incident: some stuck-on switch ends at `v` (the search's per-vertex
-  /// gate for the weld work, ftcs/search.hpp).
+  /// Weld-incident: some stuck-on switch ends at `v` (the search's
+  /// per-vertex gate for the weld work, ftcs/search.hpp).
   [[nodiscard]] bool vertex_welded(graph::VertexId v) const {
-    return !welded_vertices_.empty() && welded_vertices_.test(v);
+    return welded_vertices_.test(v, std::memory_order_acquire);
   }
   /// Usable = neither statically blocked nor runtime-failed.
   [[nodiscard]] bool edge_usable(graph::EdgeId e) const {
-    return blocked_edges_.empty() || !blocked_edges_.test(e);
+    return !(!blocked_edges_.empty() && blocked_edges_.test(e)) &&
+           !dead_edges_.test(e, std::memory_order_acquire);
   }
 
-  [[nodiscard]] bool is_busy(graph::VertexId v) const { return busy_.test(v); }
-  /// Busy mask as bytes (cold path: expands the packed bitset).
-  [[nodiscard]] std::vector<std::uint8_t> busy_mask() const {
-    return busy_.to_bytes();
-  }
-  /// Total vertices traversed by active calls (path-length accounting).
-  [[nodiscard]] std::size_t busy_vertices() const noexcept { return busy_count_; }
-
-  [[nodiscard]] const RouterStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = RouterStats{}; }
+  // Quiescent aggregates over all workers (exact once no connects/
+  // disconnects are in flight).
+  [[nodiscard]] RouterStats stats() const;          // merged via operator+=
+  void reset_stats();                               // every worker's block
+  [[nodiscard]] std::size_t active_calls() const;   // sum of sessions
+  [[nodiscard]] std::size_t busy_vertices() const;  // sum of path lengths
 
  private:
-  struct Call {
-    std::uint32_t in = 0, out = 0;
-    graph::VertexId head = graph::kNoVertex;  // kNoVertex = slot free
-    std::uint32_t length = 0;                 // vertices on the path
-  };
-
-  /// Sizes the overlay bitsets on the first fault event (off the hot path).
-  void ensure_overlay();
-  /// Adds (+1) or drops (-1) one live weld at both endpoints of `e`.
-  void count_weld(graph::EdgeId e, int delta);
-  /// Runs the shared single-pair search against this router's state.
-  [[nodiscard]] graph::VertexId search_one(graph::VertexId src,
-                                           graph::VertexId dst);
+  /// True iff every hop of the settled path is still carried: by a usable
+  /// forward switch, or by a contracted (stuck-on) switch in either
+  /// direction. Acquire loads on the overlay (claim-phase re-validation).
+  [[nodiscard]] bool path_switches_alive(
+      const std::vector<graph::VertexId>& path) const;
 
   const graph::Network* net_;
-  util::Bitset blocked_;        // static vertex faults
-  util::Bitset blocked_edges_;  // unusable switches: static | runtime-failed
-  util::Bitset busy_;           // blocked | dead | on an active path
-  // Liveness overlay registries, sized lazily by the first fault event:
-  util::Bitset dead_;           // vertices killed by the fault plane
-  util::Bitset fault_claimed_;  // dead vertices whose busy bit WE set (vs
-                                // vertices that were already statically busy)
-  util::Bitset dead_edges_;     // runtime switch failures (repairable)
-  util::Bitset contracted_edges_;  // stuck-on switches: free forced hops
-  std::size_t contracted_count_ = 0;  // outstanding welds: gates the
-                                      // contraction search variant
-  std::vector<std::uint32_t> vertex_welds_;  // live welds per endpoint
-  util::Bitset welded_vertices_;             // vertex_welds_[v] > 0
-  util::Bitset static_edges_;   // construction-time mask, guards repair_edge
-  std::vector<std::uint8_t> in_busy_, out_busy_;
-
-  // Bidirectional BFS scratch, sized to vertex_count at construction
-  // (shared search implementation: ftcs/search.hpp).
-  detail::SearchScratch scratch_;
-
-  // Active-path storage: path_next_[v] = successor of v on its call's path.
+  util::Bitset blocked_;        // static vertex faults (read-only)
+  util::Bitset blocked_edges_;  // static switch faults (read-only)
+  util::AtomicBitset busy_;     // shared: blocked | dead | claimed by a path
+  // Liveness overlay: dead_edges_ is read by in-flight searches (relaxed)
+  // and validations (acquire); overlay_active_ gates those reads so the
+  // fault-free hot path pays one register test. The vertex registries are
+  // cold state touched only under the quiescent kill/revive contract.
+  util::AtomicBitset dead_edges_;
+  // Stuck-on switches (closed failures): read relaxed by searches alongside
+  // dead_edges_. The outstanding-weld count gates the welded search body,
+  // so runs without live welds do not pay the weld work in the shared BFS;
+  // welded_vertices_ gates it per vertex. vertex_welds_ (live welds per
+  // endpoint) belongs to the serialized contract/uncontract writer.
+  util::AtomicBitset contracted_edges_;
+  util::AtomicBitset welded_vertices_;
+  std::vector<std::uint32_t> vertex_welds_;
+  std::atomic<bool> overlay_active_{false};
+  std::atomic<std::size_t> contracted_count_{0};
+  util::Bitset dead_vertices_;
+  util::Bitset fault_claimed_;
+  util::AtomicBitset in_busy_, out_busy_;  // terminal slots
+  // Shared successor array threading every active path; entry v is owned by
+  // the holder of busy bit v (see the memory-ordering contract above).
   std::vector<graph::VertexId> path_next_;
-
-  std::vector<Call> calls_;        // capacity reserved: min(#in, #out) + 1
-  std::vector<CallId> free_slots_; // capacity reserved likewise
-  std::size_t active_ = 0;
-  std::size_t busy_count_ = 0;
-  RouterStats stats_;
-
+  std::deque<Worker> workers_;  // deque: stable addresses for worker(w) refs
 };
 
 }  // namespace ftcs::core

@@ -1,16 +1,13 @@
 // Shared level-synchronized bidirectional BFS over idle vertices.
 //
-// Extracted from GreedyRouter so the single-thread and concurrent routers
-// run the SAME search (same expansion order, same tie-breaks — the
-// 1-worker ConcurrentRouter is path-for-path identical to GreedyRouter by
-// construction). The busy test is a template parameter: GreedyRouter plugs
-// in a plain util::Bitset read, ConcurrentRouter a relaxed AtomicBitset
-// read (optimistic dirty snapshot, re-validated later by CAS claiming).
-// The edge_blocked test likewise carries the routers' liveness overlay
-// (runtime switch failures) alongside any static fault mask, so the search
-// routes around open-failed switches with no state of its own: greedy folds
-// failed switches into its blocked-edge bitset, the concurrent engine reads
-// its AtomicBitset overlay relaxed and re-validates after the claim phase.
+// core::Router (ftcs/router.hpp) runs this search on every session's private
+// scratch, and the tests run it against test-local reference searches. The
+// busy test is a template parameter: the router plugs in a relaxed
+// AtomicBitset read (an optimistic dirty snapshot, re-validated later by
+// CAS claiming). The edge_blocked test likewise carries the router's
+// liveness overlay (runtime switch failures) alongside any static fault
+// mask, so the search routes around open-failed switches with no state of
+// its own; the router re-validates the settled path after the claim phase.
 //
 // CLOSED (stuck-on) failures — the paper's §2 contraction — ride the
 // edge_contracted predicate: a contracted switch is permanently conducting,
@@ -23,9 +20,9 @@
 // vertex — and the settled path claims every vertex it crosses as usual.
 // The whole machinery is a COMPILE-TIME branch (`kContraction`): the
 // dispatcher instantiates the contraction-free variant while no weld is
-// live (both routers count outstanding welds), so such a search runs the
+// live (the router counts outstanding welds), so such a search runs the
 // exact pre-contraction hot path (measured: the runtime-flag version cost
-// ~15% on the greedy churn; this one is noise-level).
+// ~15% on a single-session churn; this one is noise-level).
 //
 // Search invariants:
 //   - forward frontier expands out-edges from src, backward in-edges from
@@ -71,8 +68,8 @@
 // The weld state lives in the queue cursor and the loop, not in the visit
 // lambdas: a [&] lambda captures what it names even in a discarded
 // `if constexpr` branch, which perturbs the weld-free body's code.
-// The predicate is read without synchronization on the concurrent engine,
-// whose writer sets a vertex bit before the weld's edge bit and clears the
+// The predicate is read without synchronization by the router, whose
+// writer sets a vertex bit before the weld's edge bit and clears the
 // edge bit before the vertex bit: a stale read can only hide a weld, which
 // the dirty-snapshot contract and the claim re-validation already allow.
 // Reachability — the property the offline contraction equivalence pins —

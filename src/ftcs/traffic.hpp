@@ -7,18 +7,18 @@
 // strictly nonblocking surviving network this never happens; on damaged or
 // blocking networks it measures the grade of service).
 //
-// The simulation drives a svc::Exchange (the service facade over either
-// routing engine), so one simulator serves both the single-threaded greedy
-// backend and the sharded concurrent backend. The report's call counters
-// are DERIVED from the exchange's counter deltas (svc::ExchangeStats) —
-// there is one set of books, kept by the engine; the traffic tests assert
-// the derivation's invariants.
+// The simulation drives a svc::Exchange (the service facade over
+// core::Router), so one simulator serves one session (the paper's greedy
+// router) and many. The report's call counters are DERIVED from the
+// exchange's counter deltas (svc::ExchangeStats) — there is one set of
+// books, kept by the router; the traffic tests assert the derivation's
+// invariants.
 //
 // Two service planes, selected by TrafficParams::epoch_interval:
 //   - 0 (default): the immediate plane on session 0, event by event — the
 //     original low-latency simulation, bit-identical to its pre-fault-plane
 //     behaviour when no schedule is attached;
-//   - > 0: the BATCHED plane across ALL engine sessions — arrivals submit()
+//   - > 0: the BATCHED plane across ALL router sessions — arrivals submit()
 //     into the admission queue and every epoch_interval of simulated time a
 //     drain_all() routes the backlog across the sessions, so the simulator
 //     exercises the same multi-session admission path production traffic
@@ -80,7 +80,7 @@ struct TrafficReport {
 };
 
 /// Runs the simulation on an exchange (which carries the network + fault
-/// mask + engine backend). Plane selection and fault schedule per
+/// mask + router sessions). Plane selection and fault schedule per
 /// TrafficParams above.
 [[nodiscard]] TrafficReport simulate_traffic(svc::Exchange& exchange,
                                              const TrafficParams& params);

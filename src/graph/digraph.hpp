@@ -139,8 +139,8 @@ struct NetworkBuilder {
 
 /// Result of growing a finalized network: the merged network plus the
 /// old→new vertex-id map the live-call remap threads every piece of
-/// vertex-indexed engine state through. Contracts (what the routers'
-/// grow() verbs and svc::Exchange::grow validate):
+/// vertex-indexed router state through. Contracts (what core::Router::grow
+/// and svc::Exchange::grow validate):
 ///   - vmap.size() == old vertex count; vmap is injective into the grown
 ///     id space (identity when finalized with RelabelMode::kNone);
 ///   - edge ids are stable: grown edge e < old edge count connects exactly

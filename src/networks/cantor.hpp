@@ -40,7 +40,7 @@ struct CantorParams {
 ///
 /// Old terminal indices keep their meaning (new terminals append after
 /// them) and every pre-growth edge id survives — the GrownNetwork contract
-/// the engines' live-call remap requires. Throws std::invalid_argument if
+/// the router's live-call remap requires. Throws std::invalid_argument if
 /// `base` is not structurally the canonical build_cantor(base_params)
 /// network (in particular: a network that was already grown, whose extra
 /// shortcut switches fail the edge-count check — re-growing a grown

@@ -8,7 +8,7 @@
 // place and their deferral count is surfaced in the eventual Outcome.
 //
 // ConflictAdaptiveAdmission closes the loop the ROADMAP asked for: it sizes
-// the window from the concurrent engine's measured claim_conflicts rate
+// the window from the router's measured claim_conflicts rate
 // (AIMD — halve on a contended epoch, grow additively on a clean one), so
 // the batch size settles where optimistic path-claiming stops paying for
 // retries.
@@ -81,7 +81,7 @@ class FixedWindowAdmission final : public AdmissionPolicy {
   std::size_t max_queue_;
 };
 
-/// AIMD window driven by the concurrent engine's claim_conflicts counters:
+/// AIMD window driven by the router's claim_conflicts counters:
 /// an epoch whose conflicts-per-admitted-call exceed `high_rate` halves the
 /// window (contention means too many calls raced in one batch); an epoch
 /// below `low_rate` grows it by a quarter (the engine has headroom). A

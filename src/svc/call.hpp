@@ -5,7 +5,7 @@
 // outcome types every consumer speaks — one RejectReason enum with one
 // spelling per failure mode (shared by reports, benches and JSON output),
 // and a generation-tagged CallId that turns stale or foreign handles into
-// detected, typed errors instead of undefined behaviour on the raw routers'
+// detected, typed errors instead of undefined behaviour on the raw router's
 // reused integer slots.
 #pragma once
 
@@ -19,17 +19,17 @@ namespace ftcs::svc {
 class Exchange;
 
 /// Why a call (or a hangup) was not served. kNone means success. One enum
-/// across both engine backends AND the admission front-end, so every report
-/// uses the same spelling (to_string below).
+/// across the router AND the admission front-end, so every report uses the
+/// same spelling (to_string below).
 enum class RejectReason : std::uint8_t {
   kNone = 0,         // served
   kTerminalBusy,     // input or output slot busy/faulty; no search was run
   kNoPath,           // search exhausted without finding an idle path
-  kContention,       // concurrent engine gave up after its claim-retry budget
+  kContention,       // router gave up after its claim-retry budget
   kRefused,          // admission control bounced the request (queue overload)
   kStaleHandle,      // handle's generation expired (hung up, or never issued)
   kForeignHandle,    // handle was issued by a different Exchange
-  kBadSession,       // session index out of range for this engine
+  kBadSession,       // session or terminal index out of range
   kFaulted,          // call was torn down by the fault plane (a component on
                      // its path died); also the ack a hangup of that handle
                      // receives — informative, not a handle misuse
@@ -102,7 +102,7 @@ class CallId {
   /// True for a handle that was issued for a connected call (it may still
   /// be stale if the call was since hung up).
   [[nodiscard]] constexpr bool valid() const noexcept { return exchange_ != 0; }
-  /// Engine session that carries the call; hangup() must run on the thread
+  /// Router session that carries the call; hangup() must run on the thread
   /// currently driving that session (see svc/README.md).
   [[nodiscard]] constexpr std::uint32_t session() const noexcept {
     return session_;
@@ -112,7 +112,7 @@ class CallId {
  private:
   friend class Exchange;
   std::uint32_t exchange_ = 0;  // issuing Exchange's id; 0 = null handle
-  std::uint32_t session_ = 0;   // engine session holding the call
+  std::uint32_t session_ = 0;   // router session holding the call
   std::uint32_t slot_ = 0;      // index into the session's handle table
   std::uint32_t gen_ = 0;       // slot generation at issue time
 };

@@ -13,6 +13,24 @@ namespace {
 // handle presented to the wrong Exchange is detected (kForeignHandle)
 // instead of silently indexing someone else's call table.
 std::atomic<std::uint32_t> next_exchange_id{1};
+
+/// Which rejection counter a failed connect() bumped. The router classifies
+/// every rejection exactly once in its RouterStats block, so diffing the
+/// counters around the call is the authoritative answer — no second
+/// bookkeeping that could drift from the router's. Only the two
+/// discriminating counters are snapshotted (this sits on the connect hot
+/// path).
+struct RejectSnapshot {
+  std::uint64_t terminal, contention;
+  explicit RejectSnapshot(const core::RouterStats& s) noexcept
+      : terminal(s.rejected_terminal), contention(s.rejected_contention) {}
+  [[nodiscard]] RejectReason classify(const core::RouterStats& after)
+      const noexcept {
+    if (after.rejected_terminal > terminal) return RejectReason::kTerminalBusy;
+    if (after.rejected_contention > contention) return RejectReason::kContention;
+    return RejectReason::kNoPath;
+  }
+};
 }  // namespace
 
 Exchange::Exchange(const graph::Network& net, ExchangeConfig cfg)
@@ -26,16 +44,16 @@ Exchange::Exchange(const graph::Network* net,
                    std::unique_ptr<graph::Network> owned, ExchangeConfig cfg)
     : owned_net_(std::move(owned)),
       net_(owned_net_ ? owned_net_.get() : net),
-      engine_(make_engine(*net_, EngineOptions{cfg.backend, cfg.sessions,
-                                               std::move(cfg.blocked),
-                                               std::move(cfg.blocked_edges)})),
+      router_(std::make_unique<core::Router>(
+          *net_, cfg.backend == Backend::kGreedy ? 1 : cfg.sessions,
+          std::move(cfg.blocked), std::move(cfg.blocked_edges))),
       admission_(cfg.admission ? std::move(cfg.admission)
                                : std::make_unique<UnboundedAdmission>()),
       home_sessions_(cfg.home_sessions),
       qos_immediate_(cfg.qos_immediate),
       class_deadlines_(cfg.class_deadlines),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
-      sessions_(engine_->sessions()) {
+      sessions_(router_->worker_count()) {
   // Pin the drain pool up front: every worker has re-pinned by the time
   // apply_affinity returns, so the first drain's lazily built session
   // scratch already first-touches on the pinned cpus. apply_affinity
@@ -46,7 +64,7 @@ Exchange::Exchange(const graph::Network* net,
 
 // ------------------------------------------------------------------ handles
 
-CallId Exchange::issue_handle(unsigned session, Engine::RawCall raw,
+CallId Exchange::issue_handle(unsigned session, core::Router::CallId raw,
                               const CallRequest& req) {
   Session& s = sessions_[session];
   std::uint32_t slot;
@@ -88,11 +106,22 @@ Outcome Exchange::route_one(const CallRequest& req, unsigned session,
   o.tag = req.tag;
   o.session = session;
   o.deferrals = deferrals;
-  const Engine::Connect c = engine_->connect(session, req.input, req.output);
-  o.reject = c.reject;
-  o.path_length = c.path_length;
-  if (c.reject == RejectReason::kNone)
-    o.id = issue_handle(session, c.call, req);
+  if (req.input >= net_->inputs.size() || req.output >= net_->outputs.size()) {
+    // Both planes funnel through here, so one check covers call() and
+    // drain(); Federation::call rejects a global index the same way.
+    handle_errors_.fetch_add(1, std::memory_order_relaxed);
+    o.reject = RejectReason::kBadSession;
+    return o;
+  }
+  auto& worker = router_->worker(session);
+  const RejectSnapshot before(worker.stats());
+  const auto call = worker.connect(req.input, req.output);
+  if (call == core::Router::kNoCall) {
+    o.reject = before.classify(worker.stats());
+    return o;
+  }
+  o.path_length = static_cast<std::uint32_t>(worker.path_length(call));
+  o.id = issue_handle(session, call, req);
   return o;
 }
 
@@ -110,9 +139,9 @@ void Exchange::record_class(ops::ClassBook& book, std::uint8_t priority,
 }
 
 Outcome Exchange::call(const CallRequest& req, unsigned session) {
-  if (session >= engine_->sessions()) {
+  if (session >= sessions_.size()) {
     // Counted with the handle misuses: without this, a caller fanning out
-    // over more sessions than the engine has would see its traffic vanish
+    // over more sessions than the router has would see its traffic vanish
     // from every stats()-derived report.
     handle_errors_.fetch_add(1, std::memory_order_relaxed);
     Outcome o;
@@ -152,12 +181,12 @@ RejectReason Exchange::hangup(CallId id) {
   }
   Session& s = sessions_[id.session_];
   Slot& slot = s.slots[id.slot_];
-  engine_->disconnect(id.session_, slot.raw);
+  router_->worker(id.session_).disconnect(slot.raw);
   // Retire the slot: bumping the generation invalidates every outstanding
   // copy of this handle, so double hangups and stale copies are caught by
   // check_handle() forever after.
   slot.live = false;
-  slot.raw = Engine::kNoRawCall;
+  slot.raw = core::Router::kNoCall;
   slot.retired_by_fault = false;
   ++slot.gen;
   s.free.push_back(id.slot_);
@@ -167,7 +196,8 @@ RejectReason Exchange::hangup(CallId id) {
 
 std::vector<graph::VertexId> Exchange::path_of(CallId id) {
   if (check_handle(id) != RejectReason::kNone) return {};
-  return engine_->path_of(id.session_, sessions_[id.session_].slots[id.slot_].raw);
+  return router_->worker(id.session_)
+      .path_of(sessions_[id.session_].slots[id.slot_].raw);
 }
 
 // ------------------------------------------------------------ batched plane
@@ -268,7 +298,7 @@ std::size_t Exchange::drain() {
     EpochFeedback fb;
     fb.epoch = epochs_;
     fb.queued = queue_.size();
-    fb.sessions = engine_->sessions();
+    fb.sessions = sessions_.size();
     fb.admitted_last = last_admitted_;
     fb.claim_conflicts_last = last_conflicts_;
     fb.rejected_contention_last = last_contention_;
@@ -289,10 +319,10 @@ std::size_t Exchange::drain() {
     for (auto& p : queue_) ++p.deferrals;
   }
 
-  const core::RouterStats before = engine_->stats();
+  const core::RouterStats before = router_->stats();
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t m = batch.size();
-  const unsigned s_count = engine_->sessions();
+  const auto s_count = static_cast<unsigned>(sessions_.size());
   std::vector<Outcome> outs(m);
   // Partition the window across sessions: session s routes the batch
   // indices in order[start[s], start[s+1]). Default is the deterministic
@@ -308,10 +338,11 @@ std::size_t Exchange::drain() {
   std::vector<std::size_t> start(s_count + 1, 0);
   if (home_sessions_ && s_count > 1) {
     const std::size_t n_in = net_->inputs.size();
+    // An out-of-range input is clamped to the last session, whose
+    // route_one rejects it.
     const auto home = [&](std::uint32_t input) {
       const std::size_t s = static_cast<std::size_t>(input) * s_count / n_in;
-      return static_cast<unsigned>(
-          std::min<std::size_t>(s, s_count - 1));  // clamp bad inputs
+      return static_cast<unsigned>(std::min<std::size_t>(s, s_count - 1));
     };
     for (std::size_t i = 0; i < m; ++i) ++start[home(batch[i].req.input) + 1];
     for (unsigned s = 0; s < s_count; ++s) start[s + 1] += start[s];
@@ -338,7 +369,7 @@ std::size_t Exchange::drain() {
           route_chunk(static_cast<unsigned>(s));
         });
   }
-  const core::RouterStats after = engine_->stats();
+  const core::RouterStats after = router_->stats();
   const auto t1 = std::chrono::steady_clock::now();
   const double epoch_seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -402,7 +433,7 @@ bool Exchange::path_alive(const std::vector<graph::VertexId>& path,
                           const std::vector<graph::VertexId>& newly_dead)
     const {
   for (const graph::VertexId v : path) {
-    if (engine_->vertex_dead(v)) return false;
+    if (router_->vertex_dead(v)) return false;
     for (const graph::VertexId d : newly_dead)
       if (v == d) return false;
   }
@@ -412,7 +443,7 @@ bool Exchange::path_alive(const std::vector<graph::VertexId>& path,
     const auto tgts = g.out_targets(path[i]);
     bool hop_alive = false;
     for (std::size_t k = 0; k < eids.size(); ++k)
-      if (tgts[k] == path[i + 1] && engine_->edge_usable(eids[k])) {
+      if (tgts[k] == path[i + 1] && router_->edge_usable(eids[k])) {
         hop_alive = true;  // some parallel switch still carries this hop
         break;
       }
@@ -422,8 +453,8 @@ bool Exchange::path_alive(const std::vector<graph::VertexId>& path,
       const auto reids = g.in_edges(path[i]);
       const auto rsrcs = g.in_sources(path[i]);
       for (std::size_t k = 0; k < reids.size(); ++k)
-        if (rsrcs[k] == path[i + 1] && engine_->edge_contracted(reids[k]) &&
-            engine_->edge_usable(reids[k])) {
+        if (rsrcs[k] == path[i + 1] && router_->edge_contracted(reids[k]) &&
+            router_->edge_usable(reids[k])) {
           hop_alive = true;
           break;
         }
@@ -443,7 +474,7 @@ void Exchange::reap_victims(FaultImpact& impact,
          ++slot_idx) {
       Slot& slot = sess.slots[slot_idx];
       if (!slot.live) continue;
-      const auto path = engine_->path_of(s, slot.raw);
+      const auto path = router_->worker(s).path_of(slot.raw);
       if (path_alive(path, newly_dead)) continue;
       Outcome dead;
       dead.reject = RejectReason::kFaulted;
@@ -456,9 +487,9 @@ void Exchange::reap_victims(FaultImpact& impact,
       dead.id.slot_ = slot_idx;
       dead.id.gen_ = slot.gen;
       impact.killed.push_back(dead);
-      engine_->disconnect(s, slot.raw);
+      router_->worker(s).disconnect(slot.raw);
       slot.live = false;
-      slot.raw = Engine::kNoRawCall;
+      slot.raw = core::Router::kNoCall;
       slot.retired_by_fault = true;
       ++slot.gen;
       sess.free.push_back(slot_idx);
@@ -470,7 +501,7 @@ void Exchange::reap_victims(FaultImpact& impact,
 void Exchange::reroute_victims(FaultImpact& impact) {
   // Immediate re-admission of the victims through the batched plane. Their
   // terminals are free again (the kill released them); whether a detour
-  // exists is the engine's verdict. Anything already queued rides along.
+  // exists is the router's verdict. Anything already queued rides along.
   // Every victim RESOLVES within this call: if the policy refuses to drain
   // (zero window), the leftover victim submissions are cancelled and
   // reported kRefused — nothing fires after this frame returns. The
@@ -524,13 +555,13 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
     // over the switch is still carried, its hop merely becomes free — and
     // no vertex dies (§6 death is about unusable switches; this one
     // conducts, both ways). Only the feasibility bookkeeping moves: the
-    // switch is down until repaired, and the engines route through it as a
+    // switch is down until repaired, and the router routes through it as a
     // zero-cost forced hop (runtime contraction).
     stuck_switches_.set(ev.edge);
     ++failed_switch_count_;
     ++stuck_switch_count_;
     ++faults_stuck_;
-    engine_->contract_edge(ev.edge);
+    router_->contract_edge(ev.edge);
     if (welds_->add_weld(ev.edge)) {
       // This weld bridged two terminals into one electrical node: the
       // Lemma 7 catastrophe, raised at the triggering inject.
@@ -551,7 +582,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   failed_switches_.set(ev.edge);
   ++failed_switch_count_;
   ++faults_injected_;
-  engine_->fail_edge(ev.edge);
+  router_->fail_edge(ev.edge);
 
   // §6 vertex death: a non-terminal vertex is faulty while ANY incident
   // switch is OPEN-failed; it dies with the first one. Terminals stay
@@ -566,7 +597,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   }
 
   reap_victims(impact, newly_dead);
-  for (const graph::VertexId v : newly_dead) engine_->kill_vertex(v);
+  for (const graph::VertexId v : newly_dead) router_->kill_vertex(v);
   reroute_victims(impact);
   return impact;
 }
@@ -588,7 +619,7 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
     --failed_switch_count_;
     --stuck_switch_count_;
     ++faults_repaired_;
-    engine_->uncontract_edge(ev.edge);
+    router_->uncontract_edge(ev.edge);
     if (welds_->remove_weld(ev.edge)) {
       // The clearing repair: the last terminal bridge dissolved. Echo the
       // pair the raise reported so operators can correlate the two.
@@ -615,10 +646,10 @@ FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
   for (const graph::VertexId v : {edge.from, edge.to}) {
     if (!is_terminal_[v] && vertex_fault_degree_[v] > 0 &&
         --vertex_fault_degree_[v] == 0)
-      engine_->revive_vertex(v);
+      router_->revive_vertex(v);
     if (edge.from == edge.to) break;  // self-loop: one decrement
   }
-  engine_->repair_edge(ev.edge);
+  router_->repair_edge(ev.edge);
   return impact;
 }
 
@@ -674,13 +705,13 @@ GrowthReport Exchange::grow(GrowthPlan plan) {
   rep.switches_added = new_e - old_e;
   rep.inputs_added = next.inputs.size() - old_net.inputs.size();
   rep.outputs_added = next.outputs.size() - old_net.outputs.size();
-  rep.calls_remapped = engine_->active_calls();
+  rep.calls_remapped = router_->active_calls();
 
-  // Commit. The old network must stay alive until the engine has remapped
+  // Commit. The old network must stay alive until the router has remapped
   // off it, so the grown one moves into a fresh slot first and the owning
   // pointer is swapped last.
   auto grown = std::make_unique<graph::Network>(std::move(plan.grown.net));
-  engine_->grow(*grown, vmap);
+  router_->grow(*grown, vmap);
 
   if (!failed_switches_.empty()) {
     // Fault bookkeeping follows the merge. Switch ids are stable, so the
@@ -749,7 +780,7 @@ TopologyOutcome Exchange::apply(const TopologyEvent& ev) {
 
 ExchangeStats Exchange::stats() const {
   ExchangeStats st;
-  st.router = engine_->stats();
+  st.router = router_->stats();
   {
     std::lock_guard<std::mutex> lk(front_mu_);
     st.submitted = submitted_;
@@ -783,7 +814,7 @@ ExchangeStats Exchange::stats() const {
 }
 
 void Exchange::reset_stats() {
-  engine_->reset_stats();
+  router_->reset_stats();
   std::lock_guard<std::mutex> lk(front_mu_);
   submitted_ = admitted_ = completed_count_ = deferred_ = refused_ = 0;
   epochs_ = queue_high_water_ = 0;

@@ -1,22 +1,22 @@
-// ftcs::svc::Exchange — session-oriented call service over both routing
-// engines.
+// ftcs::svc::Exchange — session-oriented call service over core::Router.
 //
 // The paper's networks are telephone exchanges (Clos [Cl]): an exchange
 // serves calls, it does not expose raw connect(in, out) pokes at a router.
 // Exchange is that service facade. It owns the fault mask (and optionally
-// the network), serves typed CallRequests through a pluggable Engine
-// backend (GreedyRouter or sharded ConcurrentRouter sessions, selected at
-// construction), and hands back generation-tagged CallId handles whose
-// misuse — stale handle, double hangup, handle from another Exchange — is a
-// typed error, never corrupted busy state.
+// the network), serves typed CallRequests through the sessions of one
+// core::Router (one session is the paper's greedy router; more route in
+// parallel with CAS-claimed paths), and hands back generation-tagged CallId
+// handles whose misuse — stale handle, double hangup, handle from another
+// Exchange, terminal index out of range — is a typed error, never corrupted
+// busy state.
 //
 // Two service planes:
-//   - IMMEDIATE: call(req, session) routes now on one engine session and
+//   - IMMEDIATE: call(req, session) routes now on one router session and
 //     returns the Outcome; hangup(id) releases. This is the low-latency,
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
 //     admission epoch — the AdmissionPolicy picks a window, the highest-
-//     priority window of queued requests is routed across ALL engine
+//     priority window of queued requests is routed across ALL router
 //     sessions in parallel on util::ThreadPool::global(), and completions
 //     are delivered through the callback (on the pool threads) or a
 //     pollable Ticket. Requests beyond the window stay queued (Deferred,
@@ -32,7 +32,7 @@
 //     hung up by the thread currently driving its session (CallId::session).
 //   - drain() runs from one thread at a time and must not overlap immediate
 //     calls (it temporarily owns every session).
-//   - stats() aggregates are exact at quiescence, like the engines'.
+//   - stats() aggregates are exact at quiescence, like the router's.
 #pragma once
 
 #include <array>
@@ -50,21 +50,21 @@
 
 #include "fault/schedule.hpp"
 #include "fault/weld_components.hpp"
+#include "ftcs/router.hpp"
 #include "ops/latency.hpp"
 #include "svc/admission.hpp"
 #include "svc/call.hpp"
-#include "svc/engine.hpp"
 #include "util/bitset.hpp"
 #include "util/cpu_topology.hpp"
 
 namespace ftcs::svc {
 
-/// Mergeable service-level counter block: the engines' RouterStats plus the
+/// Mergeable service-level counter block: the router's RouterStats plus the
 /// admission front-end's queue/defer/epoch counters. operator+= aggregates
 /// across exchanges (bench summaries); operator-= takes before/after deltas
 /// (traffic reports).
 struct ExchangeStats {
-  core::RouterStats router;           // merged engine counters
+  core::RouterStats router;           // merged session counters
   std::uint64_t submitted = 0;        // batch-plane requests enqueued
   std::uint64_t admitted = 0;         // requests admitted into some epoch
   std::uint64_t completed = 0;        // batch outcomes delivered
@@ -74,7 +74,8 @@ struct ExchangeStats {
   std::uint64_t queue_high_water = 0; // max queue depth observed
   std::uint64_t hangups = 0;          // successful hangups (both planes)
   std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
-                                      // hangups and bad-session calls
+                                      // hangups, bad-session calls and
+                                      // out-of-range terminal indices
   // Fault-plane counters (inject()/repair()):
   std::uint64_t faults_injected = 0;       // open switch failures applied
   std::uint64_t faults_stuck = 0;          // stuck-on (closed) failures applied
@@ -227,12 +228,18 @@ struct TopologyOutcome {
   std::optional<GrowthReport> growth;  // kind == kGrow
 };
 
+/// Session-count clamp, kept for callers that still name it: kGreedy routes
+/// on one session (the paper's greedy router), kConcurrent on
+/// ExchangeConfig::sessions. Both route through the same core::Router.
+enum class Backend : std::uint8_t { kGreedy, kConcurrent };
+
 struct ExchangeConfig {
-  Backend backend = Backend::kGreedy;
-  /// Engine sessions (concurrent backend parallelism; clamped to 1 for the
-  /// greedy backend).
+  /// kGreedy clamps `sessions` to 1; see Backend.
+  Backend backend = Backend::kConcurrent;
+  /// Router sessions (0 means 1): the parallelism of the batched plane and
+  /// the session indices call() accepts.
   unsigned sessions = 1;
-  /// Static fault masks, owned by the Exchange (as in the routers).
+  /// Static fault masks, owned by the Exchange (as in the router).
   std::vector<std::uint8_t> blocked;
   std::vector<std::uint8_t> blocked_edges;
   /// Batched-plane policy; null = UnboundedAdmission.
@@ -274,7 +281,8 @@ class Exchange {
 
   // ----------------------------------------------------------- immediate
   /// Routes the request now on `session` and returns the Outcome
-  /// (Outcome::id is live iff connected()).
+  /// (Outcome::id is live iff connected()). A session or terminal index out
+  /// of range is rejected kBadSession and counted in handle_errors.
   Outcome call(const CallRequest& req, unsigned session = 0);
   /// Releases a call. Returns kNone on success; kStaleHandle /
   /// kForeignHandle / kBadSession on a handle that is not currently live
@@ -326,7 +334,7 @@ class Exchange {
   //     (typed kFaulted outcomes), then immediately re-admits the victims'
   //     original requests through the batched plane (anything already
   //     queued rides along in those epochs).
-  //   - kStuckOn (closed): the switch welds conducting — the engines treat
+  //   - kStuckOn (closed): the switch welds conducting — the router treats
   //     it as a zero-cost forced hop (runtime contraction). NO call dies
   //     (a path over the weld is still carried; the hop merely becomes
   //     free) and NO vertex dies (§6 death is about unusable switches; this
@@ -394,7 +402,7 @@ class Exchange {
 
   // ------------------------------------------------------- introspection
   [[nodiscard]] unsigned sessions() const noexcept {
-    return engine_->sessions();
+    return router_->worker_count();
   }
   /// Pinning policy in effect on the global pool after construction (post
   /// auto-degrade); kNone when the config did not request pinning.
@@ -403,10 +411,10 @@ class Exchange {
   }
   [[nodiscard]] const graph::Network& network() const noexcept { return *net_; }
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
-    return engine_->input_idle(in);
+    return router_->input_idle(in);
   }
   [[nodiscard]] bool output_idle(std::uint32_t out) const {
-    return engine_->output_idle(out);
+    return router_->output_idle(out);
   }
   [[nodiscard]] std::size_t input_count() const noexcept {
     return net_->inputs.size();
@@ -415,20 +423,22 @@ class Exchange {
     return net_->outputs.size();
   }
   [[nodiscard]] std::size_t active_calls() const {
-    return engine_->active_calls();
+    return router_->active_calls();
   }
   [[nodiscard]] std::size_t busy_vertices() const {
-    return engine_->busy_vertices();
+    return router_->busy_vertices();
   }
-  /// Engine + front-end counters, merged. Exact at quiescence.
+  /// Router + front-end counters, merged. Exact at quiescence.
   [[nodiscard]] ExchangeStats stats() const;
   void reset_stats();
 
  private:
-  /// One handle-table shard per engine session: single-threaded by the
+  /// One handle-table shard per router session: single-threaded by the
   /// session contract, so handle issue/retire is lock-free.
   struct Slot {
-    Engine::RawCall raw = Engine::kNoRawCall;
+    // The session's router call id; reused after disconnect, which is why
+    // handles carry a generation.
+    core::Router::CallId raw = core::Router::kNoCall;
     std::uint32_t gen = 1;  // bumped on retire; a handle is live iff its
                             // gen matches AND live is set
     bool live = false;
@@ -459,17 +469,20 @@ class Exchange {
   Exchange(const graph::Network* net, std::unique_ptr<graph::Network> owned,
            ExchangeConfig cfg);
 
-  CallId issue_handle(unsigned session, Engine::RawCall raw,
+  CallId issue_handle(unsigned session, core::Router::CallId raw,
                       const CallRequest& req);
   /// Validates a handle: kNone if it is live here, else the typed error.
   RejectReason check_handle(CallId id) const;
+  /// Routes one request on `session`: the per-request path both planes
+  /// share. An out-of-range terminal index is rejected kBadSession here
+  /// (counted in handle_errors) before the router sees it.
   Outcome route_one(const CallRequest& req, unsigned session,
                     std::uint32_t deferrals);
   Ticket submit_impl(const CallRequest& req, CompletionFn done);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
   /// True iff every component of `path` is still alive (vertices against
-  /// the engine overlay + `newly_dead`, hops against usable switches — a
+  /// the router overlay + `newly_dead`, hops against usable switches — a
   /// hop is also carried by a stuck-on switch welded in EITHER direction).
   [[nodiscard]] bool path_alive(const std::vector<graph::VertexId>& path,
                                 const std::vector<graph::VertexId>& newly_dead)
@@ -491,7 +504,7 @@ class Exchange {
 
   std::unique_ptr<graph::Network> owned_net_;  // set only for the owning ctor
   const graph::Network* net_;
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<core::Router> router_;  // pinned, so held by pointer
   std::unique_ptr<AdmissionPolicy> admission_;
   bool home_sessions_ = false;
   bool qos_immediate_ = false;
@@ -508,7 +521,7 @@ class Exchange {
   Ticket next_ticket_ = 1;
   std::uint64_t submitted_ = 0, admitted_ = 0, completed_count_ = 0,
                 deferred_ = 0, refused_ = 0, epochs_ = 0, queue_high_water_ = 0;
-  // Previous epoch's engine feedback for the admission policy.
+  // Previous epoch's router feedback for the admission policy.
   std::size_t last_admitted_ = 0;
   std::uint64_t last_conflicts_ = 0, last_contention_ = 0, last_overlay_ = 0;
   double last_epoch_seconds_ = 0.0;

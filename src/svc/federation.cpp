@@ -29,7 +29,6 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
   members_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
     ExchangeConfig ec;
-    ec.backend = cfg.backend;
     ec.sessions = cfg.sessions;
     if (cfg.member_admission) ec.admission = cfg.member_admission();
     members_.push_back(std::make_unique<Exchange>(member_net, std::move(ec)));

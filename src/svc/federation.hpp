@@ -12,7 +12,7 @@
 //   - INTRA-SHARD (the hot path): shard(in) == shard(out). The request is
 //     delegated verbatim to the home member — two integer divisions and a
 //     compare before the ordinary Exchange path, the same zero-cost gate
-//     discipline as the routers' liveness overlay. No federation state is
+//     discipline as the router's liveness overlay. No federation state is
 //     touched and no slot is allocated; the returned handle wraps the
 //     member's own generation-tagged CallId.
 //
@@ -238,8 +238,7 @@ struct FedFaultImpact {
 };
 
 struct FederationConfig {
-  /// Member engine selection, forwarded to every member's ExchangeConfig.
-  Backend backend = Backend::kGreedy;
+  /// Router sessions per member, forwarded to every member's ExchangeConfig.
   unsigned sessions = 1;
   /// Subscriber terminals per member: locals [0, subscribers) of both the
   /// input and output lists; the remaining ports are the trunk pool. 0 =

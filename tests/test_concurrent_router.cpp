@@ -1,5 +1,4 @@
-// ConcurrentRouter correctness: the claim protocol under real contention and
-// exact equivalence with GreedyRouter when contention is impossible.
+// core::Router with many sessions: the claim protocol under real contention.
 //
 //  - Churn stress: 8 threads connect/disconnect randomly over one shared
 //    cantor network, then the claim invariants are checked at quiescence —
@@ -7,17 +6,14 @@
 //    lengths (and the busy bitset popcount), every disconnect releases its
 //    claims down to an all-idle network. Run under TSan in CI, this is also
 //    the data-race proof of the claim path.
-//  - 1-worker equivalence: ConcurrentRouter shares GreedyRouter's search
-//    (ftcs/search.hpp) and an uncontended claim always succeeds first try,
-//    so a fixed request trace must produce identical decisions, call ids,
-//    paths, and counters.
+//  - Blocked vertices are never claimed, and a dirty busy view never yields
+//    a broken parent chain.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/router.hpp"
 #include "networks/cantor.hpp"
 #include "util/prng.hpp"
@@ -25,11 +21,11 @@
 namespace ftcs {
 namespace {
 
-TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
+TEST(Router, ChurnStressClaimInvariants) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kThreads = 8;
   constexpr std::size_t kOpsPerThread = 4000;
-  core::ConcurrentRouter router(net, kThreads);
+  core::Router router(net, kThreads);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   std::vector<std::thread> threads;
@@ -38,7 +34,7 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
     threads.emplace_back([&, t] {
       auto& worker = router.worker(t);
       util::Xoshiro256 rng(util::derive_seed(777, t));
-      std::vector<core::ConcurrentRouter::CallId> active;
+      std::vector<core::Router::CallId> active;
       active.reserve(n);
       for (std::size_t op = 0; op < kOpsPerThread; ++op) {
         if (!active.empty() && rng.below(4) == 0) {
@@ -50,7 +46,7 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
           const auto in = static_cast<std::uint32_t>(rng.below(n));
           const auto out = static_cast<std::uint32_t>(rng.below(n));
           const auto call = worker.connect(in, out);
-          if (call != core::ConcurrentRouter::kNoCall) active.push_back(call);
+          if (call != core::Router::kNoCall) active.push_back(call);
         }
       }
     });
@@ -110,62 +106,7 @@ TEST(ConcurrentRouter, ChurnStressClaimInvariants) {
   }
 }
 
-// Fixed request trace applied to both engines; every observable must match.
-TEST(ConcurrentRouter, OneWorkerEquivalentToGreedyRouter) {
-  const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  auto& worker = concurrent.worker(0);
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
-
-  util::Xoshiro256 rng(2024);
-  std::vector<core::GreedyRouter::CallId> active_g;
-  std::vector<core::ConcurrentRouter::CallId> active_c;
-  std::size_t accepted = 0;
-  for (std::size_t op = 0; op < 800; ++op) {
-    if (!active_g.empty() && rng.below(4) == 0) {
-      const auto idx = rng.below(active_g.size());
-      greedy.disconnect(active_g[idx]);
-      worker.disconnect(active_c[idx]);
-      active_g[idx] = active_g.back();
-      active_g.pop_back();
-      active_c[idx] = active_c.back();
-      active_c.pop_back();
-      continue;
-    }
-    const auto in = static_cast<std::uint32_t>(rng.below(n));
-    const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto cg = greedy.connect(in, out);
-    const auto cc = worker.connect(in, out);
-    ASSERT_EQ(cg == core::GreedyRouter::kNoCall,
-              cc == core::ConcurrentRouter::kNoCall)
-        << "accept/reject divergence at op " << op;
-    if (cg == core::GreedyRouter::kNoCall) continue;
-    ASSERT_EQ(cg, cc) << "slot allocation divergence at op " << op;
-    EXPECT_EQ(greedy.path_of(cg), worker.path_of(cc));
-    active_g.push_back(cg);
-    active_c.push_back(cc);
-    ++accepted;
-  }
-  ASSERT_GT(accepted, 0u);
-
-  const auto& sg = greedy.stats();
-  const auto sc = concurrent.stats();
-  EXPECT_EQ(sg.connect_calls, sc.connect_calls);
-  EXPECT_EQ(sg.accepted, sc.accepted);
-  EXPECT_EQ(sg.rejected_terminal, sc.rejected_terminal);
-  EXPECT_EQ(sg.rejected_no_path, sc.rejected_no_path);
-  EXPECT_EQ(sg.disconnects, sc.disconnects);
-  EXPECT_EQ(sg.vertices_visited, sc.vertices_visited);
-  EXPECT_EQ(sg.path_vertices, sc.path_vertices);
-  EXPECT_EQ(sc.claim_conflicts, 0u);      // impossible with one worker
-  EXPECT_EQ(sc.search_retries, 0u);
-  EXPECT_EQ(sc.rejected_contention, 0u);
-  EXPECT_EQ(greedy.busy_vertices(), concurrent.busy_vertices());
-  EXPECT_EQ(greedy.active_calls(), concurrent.active_calls());
-}
-
-TEST(ConcurrentRouter, StatsMergeWithOperatorPlusEquals) {
+TEST(Router, StatsMergeWithOperatorPlusEquals) {
   core::RouterStats a;
   a.connect_calls = 10;
   a.accepted = 7;
@@ -188,22 +129,22 @@ TEST(ConcurrentRouter, StatsMergeWithOperatorPlusEquals) {
   EXPECT_EQ(sum.path_vertices, 100u);
 }
 
-TEST(ConcurrentRouter, BlockedVerticesNeverClaimed) {
+TEST(Router, BlockedVerticesNeverClaimed) {
   const auto net = networks::build_cantor({4, 0});
   // Block everything except terminals: every connect must fail cleanly.
   std::vector<std::uint8_t> blocked(net.g.vertex_count(), 1);
   for (const auto v : net.inputs) blocked[v] = 0;
   for (const auto v : net.outputs) blocked[v] = 0;
-  core::ConcurrentRouter router(net, 2, blocked);
+  core::Router router(net, 2, blocked);
   auto& worker = router.worker(0);
-  EXPECT_EQ(worker.connect(0, 1), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(worker.connect(0, 1), core::Router::kNoCall);
   EXPECT_EQ(worker.stats().rejected_no_path, 1u);
   EXPECT_EQ(router.busy_vertices(), 0u);
   EXPECT_TRUE(router.input_idle(0));
   EXPECT_TRUE(router.output_idle(1));
 }
 
-// Regression: under the concurrent engine's DIRTY busy snapshot a vertex
+// Regression: under the router's DIRTY busy snapshot a vertex
 // can probe busy for one search direction and idle for the other (another
 // worker released it in between). The search must never declare a meeting
 // point through such a vertex using a parent left over from an EARLIER
@@ -212,7 +153,7 @@ TEST(ConcurrentRouter, BlockedVerticesNeverClaimed) {
 // adversarial busy view: every vertex reads busy on its first probe of a
 // search and idle afterwards, maximizing first-probe/second-probe
 // disagreement. Every returned meet must recover a real src..dst path.
-TEST(ConcurrentRouter, DirtyBusyViewNeverYieldsBrokenParentChains) {
+TEST(Router, DirtyBusyViewNeverYieldsBrokenParentChains) {
   const auto net = networks::build_cantor({5, 0});
   const auto& g = net.g;
   const auto n = static_cast<std::uint32_t>(net.inputs.size());

@@ -53,6 +53,14 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// Sized + aligned forms: containers of over-aligned objects (the router's
+// cache-line aligned sessions) release through these.
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -123,15 +131,16 @@ TEST(CsrRoundTrip, EmptyAndIsolatedVertices) {
 std::vector<std::vector<graph::VertexId>> churn_paths(
     const graph::Network& net, std::uint64_t seed, std::size_t ops,
     bool check_shortest) {
-  core::GreedyRouter router(net);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
   util::Xoshiro256 rng(seed);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  std::vector<core::GreedyRouter::CallId> active;
+  std::vector<core::Router::CallId> active;
   std::vector<std::vector<graph::VertexId>> paths;
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() && rng.below(4) == 0) {
       const auto idx = rng.below(active.size());
-      router.disconnect(active[idx]);
+      session.disconnect(active[idx]);
       active[idx] = active.back();
       active.pop_back();
       continue;
@@ -140,8 +149,8 @@ std::vector<std::vector<graph::VertexId>> churn_paths(
     const auto out = static_cast<std::uint32_t>(rng.below(n));
     std::vector<std::uint8_t> busy_before;
     if (check_shortest) busy_before = router.busy_mask();
-    const auto call = router.connect(in, out);
-    if (call == core::GreedyRouter::kNoCall) {
+    const auto call = session.connect(in, out);
+    if (call == core::Router::kNoCall) {
       if (check_shortest && router.input_idle(in) && router.output_idle(out)) {
         // The reference search must agree that no idle path exists.
         std::vector<std::uint8_t> target(net.g.vertex_count(), 0);
@@ -152,8 +161,8 @@ std::vector<std::vector<graph::VertexId>> churn_paths(
       }
       continue;
     }
-    const auto path = router.path_of(call);
-    EXPECT_EQ(path.size(), router.path_length(call));
+    const auto path = session.path_of(call);
+    EXPECT_EQ(path.size(), session.path_length(call));
     EXPECT_EQ(path.front(), net.inputs[in]);
     EXPECT_EQ(path.back(), net.outputs[out]);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -198,11 +207,12 @@ TEST(RouterDeterminism, SettlesShortestIdlePathsLikeReferenceBfs) {
 
 TEST(RouterStatsBlock, CountsAddUp) {
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter router(net);
-  const auto c1 = router.connect(0, 1);
-  ASSERT_NE(c1, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(router.connect(0, 2), core::GreedyRouter::kNoCall);  // input busy
-  router.disconnect(c1);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
+  const auto c1 = session.connect(0, 1);
+  ASSERT_NE(c1, core::Router::kNoCall);
+  EXPECT_EQ(session.connect(0, 2), core::Router::kNoCall);  // input busy
+  session.disconnect(c1);
   const auto& s = router.stats();
   EXPECT_EQ(s.connect_calls, 2u);
   EXPECT_EQ(s.accepted, 1u);
@@ -228,44 +238,46 @@ TEST(RouterDeterminism, RejectsTerminalBusyAsIntermediateHop) {
   nb.inputs = {0, 1};
   nb.outputs = {2, 3};
   const auto net = nb.finalize();
-  core::GreedyRouter router(net);
-  const auto c1 = router.connect(0, 0);
-  ASSERT_NE(c1, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(router.path_of(c1), (std::vector<graph::VertexId>{0, 1, 2}));
-  EXPECT_EQ(router.connect(1, 1), core::GreedyRouter::kNoCall);
-  router.disconnect(c1);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
+  const auto c1 = session.connect(0, 0);
+  ASSERT_NE(c1, core::Router::kNoCall);
+  EXPECT_EQ(session.path_of(c1), (std::vector<graph::VertexId>{0, 1, 2}));
+  EXPECT_EQ(session.connect(1, 1), core::Router::kNoCall);
+  session.disconnect(c1);
   EXPECT_EQ(router.busy_vertices(), 0u);
-  const auto c2 = router.connect(1, 1);
-  ASSERT_NE(c2, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(router.path_of(c2), (std::vector<graph::VertexId>{1, 3}));
+  const auto c2 = session.connect(1, 1);
+  ASSERT_NE(c2, core::Router::kNoCall);
+  EXPECT_EQ(session.path_of(c2), (std::vector<graph::VertexId>{1, 3}));
 }
 
 TEST(RouterHotPath, ConnectPerformsNoHeapAllocation) {
   const auto net = networks::build_cantor({5, 0});
-  core::GreedyRouter router(net);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(42);
-  std::vector<core::GreedyRouter::CallId> active;
+  std::vector<core::Router::CallId> active;
   active.reserve(n);
   // Warmup: touch every slot-bookkeeping path once.
   for (std::uint32_t i = 0; i < n / 2; ++i) {
-    const auto c = router.connect(i, (i * 5 + 2) % n);
-    if (c != core::GreedyRouter::kNoCall) active.push_back(c);
+    const auto c = session.connect(i, (i * 5 + 2) % n);
+    if (c != core::Router::kNoCall) active.push_back(c);
   }
-  for (auto c : active) router.disconnect(c);
+  for (auto c : active) session.disconnect(c);
   active.clear();
 
   const std::uint64_t allocs_before = g_alloc_count.load();
   for (std::size_t op = 0; op < 2000; ++op) {
     if (!active.empty() && rng.below(3) == 0) {
       const auto idx = rng.below(active.size());
-      router.disconnect(active[idx]);
+      session.disconnect(active[idx]);
       active[idx] = active.back();
       active.pop_back();
     } else {
-      const auto c = router.connect(static_cast<std::uint32_t>(rng.below(n)),
-                                    static_cast<std::uint32_t>(rng.below(n)));
-      if (c != core::GreedyRouter::kNoCall) active.push_back(c);
+      const auto c = session.connect(static_cast<std::uint32_t>(rng.below(n)),
+                                     static_cast<std::uint32_t>(rng.below(n)));
+      if (c != core::Router::kNoCall) active.push_back(c);
     }
   }
   EXPECT_EQ(g_alloc_count.load(), allocs_before)

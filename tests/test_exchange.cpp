@@ -1,6 +1,6 @@
 // svc::Exchange — the session-oriented call service facade: typed
-// rejections, generation-tagged handle safety, engine equivalence through
-// the facade, batched admission (defer/refuse), and async completion.
+// rejections, generation-tagged handle safety, out-of-range terminals,
+// batched admission (defer/refuse), and async completion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,9 +21,8 @@
 namespace ftcs::svc {
 namespace {
 
-ExchangeConfig concurrent_cfg(unsigned sessions) {
+ExchangeConfig sessions_cfg(unsigned sessions) {
   ExchangeConfig cfg;
-  cfg.backend = Backend::kConcurrent;
   cfg.sessions = sessions;
   return cfg;
 }
@@ -57,15 +55,15 @@ TEST(Exchange, ImmediateCallLifecycle) {
   EXPECT_EQ(st.handle_errors, 0u);
 }
 
-TEST(Exchange, TypedRejectionsOnBothBackends) {
+TEST(Exchange, TypedRejectionsOnOneAndTwoSessions) {
   const auto net = networks::build_crossbar(3);
   // Edge (input 0 -> output 0) of the crossbar is edge id 0; blocking it
   // leaves the terminals idle but removes the only path between them.
   std::vector<std::uint8_t> blocked_edges(net.g.edge_count(), 0);
   blocked_edges[0] = 1;
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
-    ExchangeConfig cfg;
-    cfg.backend = backend;
+  for (const unsigned sessions : {1u, 2u}) {
+    SCOPED_TRACE(sessions);
+    ExchangeConfig cfg = sessions_cfg(sessions);
     cfg.blocked_edges = blocked_edges;
     Exchange ex(net, std::move(cfg));
     // No idle path despite idle terminals.
@@ -151,65 +149,76 @@ TEST(Exchange, BadSessionIsTypedError) {
   EXPECT_EQ(ex.stats().handle_errors, 1u);
 }
 
-// Exchange over a 1-worker ConcurrentRouter must be trace-identical to
-// Exchange over GreedyRouter on a fixed request trace — outcomes, paths,
-// and the full ExchangeStats block.
-TEST(Exchange, EngineEquivalenceThroughFacade) {
-  const auto net = networks::build_cantor({5, 0});
-  Exchange greedy(net, {});
-  Exchange concurrent(net, concurrent_cfg(1));
-  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+// Backend::kGreedy only clamps the session count: one session of the same
+// router.
+TEST(Exchange, GreedyBackendClampsToOneSession) {
+  const auto net = networks::build_crossbar(4);
+  EXPECT_EQ(Exchange(net, sessions_cfg(4)).sessions(), 4u);
+  EXPECT_EQ(Exchange(net, sessions_cfg(0)).sessions(), 1u);
+  ExchangeConfig cfg = sessions_cfg(4);
+  cfg.backend = Backend::kGreedy;
+  Exchange ex(net, std::move(cfg));
+  EXPECT_EQ(ex.sessions(), 1u);
+  EXPECT_EQ(ex.call({0, 0}, 1).reject, RejectReason::kBadSession);
+  EXPECT_TRUE(ex.call({0, 0}, 0).connected());
+}
 
-  util::Xoshiro256 rng(util::derive_seed(31, 7));
-  std::vector<CallId> live_g, live_c;
-  for (int op = 0; op < 4000; ++op) {
-    if (!live_g.empty() && (rng() & 3u) == 0) {
-      const auto idx = rng() % live_g.size();
-      EXPECT_EQ(greedy.hangup(live_g[idx]), RejectReason::kNone);
-      EXPECT_EQ(concurrent.hangup(live_c[idx]), RejectReason::kNone);
-      live_g[idx] = live_g.back();
-      live_g.pop_back();
-      live_c[idx] = live_c.back();
-      live_c.pop_back();
-    } else {
-      const auto in = static_cast<std::uint32_t>(rng() % n);
-      const auto out = static_cast<std::uint32_t>(rng() % n);
-      const Outcome og = greedy.call({in, out});
-      const Outcome oc = concurrent.call({in, out});
-      ASSERT_EQ(og.reject, oc.reject) << "op " << op;
-      ASSERT_EQ(og.path_length, oc.path_length) << "op " << op;
-      if (og.connected()) {
-        EXPECT_EQ(greedy.path_of(og.id), concurrent.path_of(oc.id));
-        live_g.push_back(og.id);
-        live_c.push_back(oc.id);
-      }
+// An out-of-range terminal index is a typed misuse on both planes: it is
+// rejected kBadSession before the router sees it, counted in handle_errors,
+// and no busy state or call moves. With two homed sessions the drain also
+// places the bad input in a session's chunk before rejecting it.
+TEST(Exchange, OutOfRangeTerminalIsTypedError) {
+  const auto net = networks::build_cantor({5, 0});
+  const auto n = static_cast<std::uint32_t>(net.inputs.size());
+  const std::vector<CallRequest> bad{
+      {n + 100000, 0}, {0, n + 100000}, {n, 2}, {2, n}};
+  for (const unsigned sessions : {1u, 2u}) {
+    SCOPED_TRACE(sessions);
+    ExchangeConfig cfg = sessions_cfg(sessions);
+    cfg.home_sessions = sessions > 1;
+    Exchange ex(net, std::move(cfg));
+    const Outcome held = ex.call({1, 1});
+    ASSERT_TRUE(held.connected());
+    const std::size_t busy_before = ex.busy_vertices();
+
+    for (const CallRequest& r : bad) {
+      const Outcome o = ex.call(r);
+      EXPECT_EQ(o.reject, RejectReason::kBadSession);
+      EXPECT_FALSE(o.id.valid());
     }
+    std::vector<Ticket> tickets;
+    for (const CallRequest& r : bad) tickets.push_back(ex.submit(r));
+    EXPECT_EQ(ex.drain_all(), bad.size());
+    for (const Ticket t : tickets) {
+      const auto o = ex.poll(t);
+      ASSERT_TRUE(o.has_value());
+      EXPECT_EQ(o->reject, RejectReason::kBadSession);
+      EXPECT_FALSE(o->id.valid());
+    }
+
+    const ExchangeStats st = ex.stats();
+    EXPECT_EQ(st.handle_errors, 2 * bad.size());
+    EXPECT_EQ(st.router.connect_calls, 1u);  // the router never saw them
+    EXPECT_EQ(ex.active_calls(), 1u);
+    EXPECT_EQ(ex.busy_vertices(), busy_before);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ex.input_idle(i), i != 1) << "input " << i;
+      EXPECT_EQ(ex.output_idle(i), i != 1) << "output " << i;
+    }
+    EXPECT_EQ(ex.hangup(held.id), RejectReason::kNone);
+    EXPECT_EQ(ex.busy_vertices(), 0u);
   }
-  const ExchangeStats a = greedy.stats();
-  const ExchangeStats b = concurrent.stats();
-  EXPECT_EQ(a.router.connect_calls, b.router.connect_calls);
-  EXPECT_EQ(a.router.accepted, b.router.accepted);
-  EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
-  EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
-  EXPECT_EQ(a.router.rejected_contention, b.router.rejected_contention);
-  EXPECT_EQ(a.router.vertices_visited, b.router.vertices_visited);
-  EXPECT_EQ(a.router.path_vertices, b.router.path_vertices);
-  EXPECT_EQ(a.router.disconnects, b.router.disconnects);
-  EXPECT_EQ(a.hangups, b.hangups);
-  EXPECT_EQ(a.handle_errors, 0u);
-  EXPECT_EQ(b.handle_errors, 0u);
-  EXPECT_EQ(greedy.busy_vertices(), concurrent.busy_vertices());
 }
 
 // Batched plane: the same trace submitted through batched admission
-// (unbounded window, 1 session) produces the same engine books as the
+// (unbounded window, 1 session) produces the same router books as the
 // immediate plane.
 // With one session the batched plane routes each admitted window request
-// by request, through the same engine connect() as call(). Each epoch
+// by request, through the same router connect() as call(). Each epoch
 // admits the `window` highest priorities still queued (FIFO among equals;
 // 0 = the whole queue) and routes them in arrival order. So every drained
 // Outcome (reject, path length, path, deferrals) must equal call()'s on the
-// same requests in that order — on both backends.
+// same requests in that order.
 void expect_drain_matches_call(std::size_t window) {
   struct Case {
     const char* name;
@@ -229,100 +238,96 @@ void expect_drain_matches_call(std::size_t window) {
   }
 
   std::size_t connected = 0, terminal_busy = 0, no_path = 0;
-  for (const Backend backend : {Backend::kGreedy, Backend::kConcurrent}) {
-    for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(c.name) +
-                   (backend == Backend::kGreedy ? " greedy" : " concurrent"));
-      const auto n = static_cast<std::uint32_t>(c.net.inputs.size());
-      // Crafted head, first in arrival and at the top priority, so it is
-      // routed first and in this order: input 0 twice in one window
-      // (duplicate terminal), then (1, 3) rejected on the output (2, 3)
-      // took, whose input 1 the next window-mate (1, 2) reuses. On
-      // crossbar-4-cut the first (0, 0) is the rejected request and (0, 1)
-      // reuses its input.
-      std::vector<CallRequest> reqs{
-          {0, 0, 3}, {0, 1, 3}, {2, 3, 3}, {1, 3, 3}, {1, 2, 3}};
-      util::Xoshiro256 rng(5);
-      while (reqs.size() < 64)
-        reqs.push_back({static_cast<std::uint32_t>(rng() % n),
-                        static_cast<std::uint32_t>(rng() % n),
-                        static_cast<std::uint8_t>(rng() % 3)});
-      for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].tag = i;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto n = static_cast<std::uint32_t>(c.net.inputs.size());
+    // Crafted head, first in arrival and at the top priority, so it is
+    // routed first and in this order: input 0 twice in one window
+    // (duplicate terminal), then (1, 3) rejected on the output (2, 3)
+    // took, whose input 1 the next window-mate (1, 2) reuses. On
+    // crossbar-4-cut the first (0, 0) is the rejected request and (0, 1)
+    // reuses its input.
+    std::vector<CallRequest> reqs{
+        {0, 0, 3}, {0, 1, 3}, {2, 3, 3}, {1, 3, 3}, {1, 2, 3}};
+    util::Xoshiro256 rng(5);
+    while (reqs.size() < 64)
+      reqs.push_back({static_cast<std::uint32_t>(rng() % n),
+                      static_cast<std::uint32_t>(rng() % n),
+                      static_cast<std::uint8_t>(rng() % 3)});
+    for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].tag = i;
 
-      // Reference model of the admission: routing order and epoch index.
-      std::vector<std::size_t> order, epoch_of(reqs.size());
-      std::vector<std::size_t> queued(reqs.size());
-      std::iota(queued.begin(), queued.end(), std::size_t{0});
-      for (std::size_t epoch = 0; !queued.empty(); ++epoch) {
-        std::vector<std::size_t> admit = queued;
-        std::stable_sort(admit.begin(), admit.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return reqs[a].priority > reqs[b].priority;
-                         });
-        if (window > 0 && window < admit.size()) admit.resize(window);
-        std::sort(admit.begin(), admit.end());
-        for (const std::size_t i : admit) {
-          order.push_back(i);
-          epoch_of[i] = epoch;
-          queued.erase(std::find(queued.begin(), queued.end(), i));
-        }
+    // Reference model of the admission: routing order and epoch index.
+    std::vector<std::size_t> order, epoch_of(reqs.size());
+    std::vector<std::size_t> queued(reqs.size());
+    std::iota(queued.begin(), queued.end(), std::size_t{0});
+    for (std::size_t epoch = 0; !queued.empty(); ++epoch) {
+      std::vector<std::size_t> admit = queued;
+      std::stable_sort(admit.begin(), admit.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return reqs[a].priority > reqs[b].priority;
+                       });
+      if (window > 0 && window < admit.size()) admit.resize(window);
+      std::sort(admit.begin(), admit.end());
+      for (const std::size_t i : admit) {
+        order.push_back(i);
+        epoch_of[i] = epoch;
+        queued.erase(std::find(queued.begin(), queued.end(), i));
       }
-
-      const auto make = [&](bool bounded) {
-        ExchangeConfig cfg;
-        cfg.backend = backend;
-        cfg.blocked_edges = c.blocked_edges;
-        if (bounded) cfg.admission = std::make_unique<FixedWindowAdmission>(window);
-        return cfg;
-      };
-      Exchange immediate(c.net, make(false));
-      Exchange batched(c.net, make(window > 0));
-      std::vector<Ticket> tickets;
-      for (const CallRequest& r : reqs) tickets.push_back(batched.submit(r));
-      EXPECT_EQ(batched.pending(), reqs.size());
-      EXPECT_EQ(batched.drain_all(), reqs.size());
-      EXPECT_EQ(batched.pending(), 0u);
-
-      std::vector<RejectReason> verdict(reqs.size());
-      for (const std::size_t i : order) {
-        const Outcome want = immediate.call(reqs[i]);
-        const auto got = batched.poll(tickets[i]);
-        ASSERT_TRUE(got.has_value()) << "request " << i;
-        EXPECT_FALSE(batched.poll(tickets[i]).has_value());  // taken once
-        EXPECT_EQ(got->reject, want.reject) << "request " << i;
-        EXPECT_EQ(got->path_length, want.path_length) << "request " << i;
-        EXPECT_EQ(got->tag, i);
-        EXPECT_EQ(got->deferrals, epoch_of[i]) << "request " << i;
-        if (want.connected() && got->connected()) {
-          EXPECT_EQ(batched.path_of(got->id), immediate.path_of(want.id))
-              << "request " << i;
-        }
-        verdict[i] = want.reject;
-        connected += want.connected();
-        terminal_busy += want.reject == RejectReason::kTerminalBusy;
-        no_path += want.reject == RejectReason::kNoPath;
-      }
-      // The crafted head resolved as described above.
-      const bool cut = !c.blocked_edges.empty();
-      EXPECT_EQ(verdict[0], cut ? RejectReason::kNoPath : RejectReason::kNone);
-      EXPECT_EQ(verdict[1],
-                cut ? RejectReason::kNone : RejectReason::kTerminalBusy);
-      EXPECT_EQ(verdict[2], RejectReason::kNone);
-      EXPECT_EQ(verdict[3], RejectReason::kTerminalBusy);
-      EXPECT_EQ(verdict[4], RejectReason::kNone);
-
-      const ExchangeStats a = immediate.stats();
-      const ExchangeStats b = batched.stats();
-      EXPECT_EQ(a.router.accepted, b.router.accepted);
-      EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
-      EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
-      EXPECT_EQ(b.submitted, reqs.size());
-      EXPECT_EQ(b.admitted, reqs.size());
-      EXPECT_EQ(b.completed, reqs.size());
-      EXPECT_EQ(b.epochs, epoch_of[order.back()] + 1);
-      EXPECT_EQ(b.refused, 0u);
-      EXPECT_EQ(immediate.active_calls(), batched.active_calls());
     }
+
+    const auto make = [&](bool bounded) {
+      ExchangeConfig cfg;
+      cfg.blocked_edges = c.blocked_edges;
+      if (bounded) cfg.admission = std::make_unique<FixedWindowAdmission>(window);
+      return cfg;
+    };
+    Exchange immediate(c.net, make(false));
+    Exchange batched(c.net, make(window > 0));
+    std::vector<Ticket> tickets;
+    for (const CallRequest& r : reqs) tickets.push_back(batched.submit(r));
+    EXPECT_EQ(batched.pending(), reqs.size());
+    EXPECT_EQ(batched.drain_all(), reqs.size());
+    EXPECT_EQ(batched.pending(), 0u);
+
+    std::vector<RejectReason> verdict(reqs.size());
+    for (const std::size_t i : order) {
+      const Outcome want = immediate.call(reqs[i]);
+      const auto got = batched.poll(tickets[i]);
+      ASSERT_TRUE(got.has_value()) << "request " << i;
+      EXPECT_FALSE(batched.poll(tickets[i]).has_value());  // taken once
+      EXPECT_EQ(got->reject, want.reject) << "request " << i;
+      EXPECT_EQ(got->path_length, want.path_length) << "request " << i;
+      EXPECT_EQ(got->tag, i);
+      EXPECT_EQ(got->deferrals, epoch_of[i]) << "request " << i;
+      if (want.connected() && got->connected()) {
+        EXPECT_EQ(batched.path_of(got->id), immediate.path_of(want.id))
+            << "request " << i;
+      }
+      verdict[i] = want.reject;
+      connected += want.connected();
+      terminal_busy += want.reject == RejectReason::kTerminalBusy;
+      no_path += want.reject == RejectReason::kNoPath;
+    }
+    // The crafted head resolved as described above.
+    const bool cut = !c.blocked_edges.empty();
+    EXPECT_EQ(verdict[0], cut ? RejectReason::kNoPath : RejectReason::kNone);
+    EXPECT_EQ(verdict[1],
+              cut ? RejectReason::kNone : RejectReason::kTerminalBusy);
+    EXPECT_EQ(verdict[2], RejectReason::kNone);
+    EXPECT_EQ(verdict[3], RejectReason::kTerminalBusy);
+    EXPECT_EQ(verdict[4], RejectReason::kNone);
+
+    const ExchangeStats a = immediate.stats();
+    const ExchangeStats b = batched.stats();
+    EXPECT_EQ(a.router.accepted, b.router.accepted);
+    EXPECT_EQ(a.router.rejected_terminal, b.router.rejected_terminal);
+    EXPECT_EQ(a.router.rejected_no_path, b.router.rejected_no_path);
+    EXPECT_EQ(b.submitted, reqs.size());
+    EXPECT_EQ(b.admitted, reqs.size());
+    EXPECT_EQ(b.completed, reqs.size());
+    EXPECT_EQ(b.epochs, epoch_of[order.back()] + 1);
+    EXPECT_EQ(b.refused, 0u);
+    EXPECT_EQ(immediate.active_calls(), batched.active_calls());
   }
   // Every verdict class the window books can take was exercised.
   EXPECT_GT(connected, 0u);
@@ -364,9 +369,7 @@ TEST(Exchange, FixedWindowDefersBeyondTheWindow) {
 
 TEST(Exchange, OverloadRefusesAtTheQueueCap) {
   const auto net = networks::build_crossbar(16);
-  ExchangeConfig cfg;
-  cfg.backend = Backend::kConcurrent;
-  cfg.sessions = 2;
+  ExchangeConfig cfg = sessions_cfg(2);
   cfg.admission = std::make_unique<FixedWindowAdmission>(2, /*max_queue=*/4);
   Exchange ex(net, std::move(cfg));
   std::vector<Ticket> tickets;
@@ -431,7 +434,7 @@ TEST(Exchange, ZeroWindowPolicyDoesNotSpin) {
 
 TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
   const auto net = networks::build_cantor({5, 0});
-  Exchange ex(net, concurrent_cfg(4));
+  Exchange ex(net, sessions_cfg(4));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   std::mutex mu;
   std::vector<Outcome> done;
@@ -517,7 +520,7 @@ TEST(ExchangeStats, MergeAndDelta) {
 TEST(Exchange, ConcurrentChurnWithHandleMisuseStaysSound) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
-  Exchange ex(net, concurrent_cfg(kSessions));
+  Exchange ex(net, sessions_cfg(kSessions));
   Exchange other(net, {});
   const Outcome foreign = other.call({0, 0});
   ASSERT_TRUE(foreign.connected());

@@ -1,4 +1,4 @@
-// The live fault plane: liveness overlay on both routing engines for BOTH
+// The live fault plane: liveness overlay on core::Router for BOTH
 // §2 failure modes — open (routed around) and closed/stuck-on (runtime
 // contraction: the welded switch is a free forced hop conducting both
 // ways) — the overlay-vs-repair_by_discard and live-contraction-vs-
@@ -22,7 +22,6 @@
 #include "fault/overlay.hpp"
 #include "fault/repair.hpp"
 #include "fault/schedule.hpp"
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/ft_network.hpp"
 #include "ftcs/router.hpp"
 #include "ftcs/traffic.hpp"
@@ -131,161 +130,136 @@ graph::Network build_parallel_hop() {
 
 // ------------------------------------------------------- router overlays
 
-TEST(GreedyOverlay, FailAndRepairEdge) {
+TEST(RouterOverlay, FailAndRepairEdge) {
   const auto net = networks::build_crossbar(3);
-  core::GreedyRouter router(net);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
   const auto e00 = edge_between(net.g, net.inputs[0], net.outputs[0]);
   ASSERT_LT(e00, net.g.edge_count());
 
-  ASSERT_NE(router.connect(0, 0), core::GreedyRouter::kNoCall);
-  router.disconnect(0);
+  ASSERT_NE(session.connect(0, 0), core::Router::kNoCall);
+  session.disconnect(0);
   router.fail_edge(e00);
   EXPECT_TRUE(router.edge_failed(e00));
   EXPECT_FALSE(router.edge_usable(e00));
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
-  const auto detour = router.connect(0, 1);  // other switches unaffected
-  ASSERT_NE(detour, core::GreedyRouter::kNoCall);
-  router.disconnect(detour);
+  EXPECT_EQ(session.connect(0, 0), core::Router::kNoCall);
+  const auto detour = session.connect(0, 1);  // other switches unaffected
+  ASSERT_NE(detour, core::Router::kNoCall);
+  session.disconnect(detour);
   router.repair_edge(e00);
   EXPECT_FALSE(router.edge_failed(e00));
-  EXPECT_NE(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_NE(session.connect(0, 0), core::Router::kNoCall);
 }
 
-TEST(GreedyOverlay, RepairNeverReleasesStaticBlockedEdges) {
+TEST(RouterOverlay, RepairNeverReleasesStaticBlockedEdges) {
   const auto net = networks::build_crossbar(3);
   const auto e00 = edge_between(net.g, net.inputs[0], net.outputs[0]);
   std::vector<std::uint8_t> blocked_edges(net.g.edge_count(), 0);
   blocked_edges[e00] = 1;
-  core::GreedyRouter router(net, {}, blocked_edges);
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  core::Router router(net, 1, {}, blocked_edges);
+  auto& session = router.worker(0);
+  EXPECT_EQ(session.connect(0, 0), core::Router::kNoCall);
   // A runtime fail + repair cycle over the statically blocked switch must
   // not resurrect it.
   router.fail_edge(e00);
   router.repair_edge(e00);
   EXPECT_FALSE(router.edge_usable(e00));
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_EQ(session.connect(0, 0), core::Router::kNoCall);
 }
 
-TEST(GreedyOverlay, KillAndReviveVertex) {
+TEST(RouterOverlay, KillAndReviveVertex) {
   const auto net = build_line_with_spur();
-  core::GreedyRouter router(net);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
   const graph::VertexId m = 2;
   router.kill_vertex(m);
   EXPECT_TRUE(router.vertex_dead(m));
-  EXPECT_EQ(router.connect(0, 0), core::GreedyRouter::kNoCall);
+  EXPECT_EQ(session.connect(0, 0), core::Router::kNoCall);
   router.kill_vertex(m);  // idempotent
   router.revive_vertex(m);
   EXPECT_FALSE(router.vertex_dead(m));
-  const auto call = router.connect(0, 0);
-  ASSERT_NE(call, core::GreedyRouter::kNoCall);
-  router.disconnect(call);
+  const auto call = session.connect(0, 0);
+  ASSERT_NE(call, core::Router::kNoCall);
+  session.disconnect(call);
   EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TEST(ConcurrentOverlay, FailRepairAndKillReviveMirrorGreedy) {
+TEST(RouterOverlay, FailRepairAndKillReviveOnTheLine) {
   const auto net = build_line_with_spur();
-  core::ConcurrentRouter router(net, 1);
+  core::Router router(net, 1);
   auto& w = router.worker(0);
   const auto e1 = edge_between(net.g, 1, 2);  // a -> m
   router.fail_edge(e1);
   EXPECT_TRUE(router.edge_failed(e1));
   EXPECT_FALSE(router.edge_usable(e1));
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(w.connect(0, 0), core::Router::kNoCall);
   router.repair_edge(e1);
   const auto call = w.connect(0, 0);
-  ASSERT_NE(call, core::ConcurrentRouter::kNoCall);
+  ASSERT_NE(call, core::Router::kNoCall);
   w.disconnect(call);
 
   router.kill_vertex(2);
   EXPECT_TRUE(router.vertex_dead(2));
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(w.connect(0, 0), core::Router::kNoCall);
   router.revive_vertex(2);
   EXPECT_FALSE(router.vertex_dead(2));
-  EXPECT_NE(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_NE(w.connect(0, 0), core::Router::kNoCall);
 }
 
 // ---------------------------------------- stuck-on (contracted) switches
 
 TEST(StuckOverlay, ContractedSwitchesMakeTheLongArmCheaper) {
   const auto net = build_two_arm_net();
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  auto& w = concurrent.worker(0);
+  core::Router router(net, 1);
+  auto& w = router.worker(0);
   const std::vector<graph::VertexId> short_arm{0, 1, 2, 6};
   const std::vector<graph::VertexId> long_arm{0, 3, 4, 5, 6};
 
   // Baseline: the 3-switch arm wins.
-  auto gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), short_arm);
-  greedy.disconnect(gc);
   auto cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
+  ASSERT_NE(cc, core::Router::kNoCall);
   EXPECT_EQ(w.path_of(cc), short_arm);
   w.disconnect(cc);
 
   // Weld two of the long arm's switches: its cost drops to 2 and it wins.
   // The welded hops are FREE but still claimed (one call per junction).
   for (const graph::EdgeId e : {4u, 5u}) {
-    greedy.contract_edge(e);
-    concurrent.contract_edge(e);
-    EXPECT_TRUE(greedy.edge_contracted(e));
-    EXPECT_TRUE(concurrent.edge_contracted(e));
+    router.contract_edge(e);
+    EXPECT_TRUE(router.edge_contracted(e));
   }
-  gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), long_arm);
-  EXPECT_EQ(greedy.busy_vertices(), long_arm.size());
-  greedy.disconnect(gc);
-  EXPECT_EQ(greedy.busy_vertices(), 0u);
   cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
+  ASSERT_NE(cc, core::Router::kNoCall);
   EXPECT_EQ(w.path_of(cc), long_arm);
+  EXPECT_EQ(router.busy_vertices(), long_arm.size());
   w.disconnect(cc);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 
   // Repairing the welds restores the original economics.
-  for (const graph::EdgeId e : {4u, 5u}) {
-    greedy.uncontract_edge(e);
-    concurrent.uncontract_edge(e);
-  }
-  gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), short_arm);
-  greedy.disconnect(gc);
+  for (const graph::EdgeId e : {4u, 5u}) router.uncontract_edge(e);
   cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
+  ASSERT_NE(cc, core::Router::kNoCall);
   EXPECT_EQ(w.path_of(cc), short_arm);
   w.disconnect(cc);
 }
 
 TEST(StuckOverlay, WeldedSwitchConductsAgainstItsDirection) {
   const auto net = build_reversed_line();
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
-  auto& w = concurrent.worker(0);
+  core::Router router(net, 1);
+  auto& w = router.worker(0);
   // No directed path exists: edge 1 points b -> a.
-  EXPECT_EQ(greedy.connect(0, 0), core::GreedyRouter::kNoCall);
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
+  EXPECT_EQ(w.connect(0, 0), core::Router::kNoCall);
 
-  greedy.contract_edge(1);
-  concurrent.contract_edge(1);
+  router.contract_edge(1);
   const std::vector<graph::VertexId> through_weld{0, 1, 2, 3};
-  const auto gc = greedy.connect(0, 0);
-  ASSERT_NE(gc, core::GreedyRouter::kNoCall);
-  EXPECT_EQ(greedy.path_of(gc), through_weld);
-  greedy.disconnect(gc);
   const auto cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
+  ASSERT_NE(cc, core::Router::kNoCall);
   EXPECT_EQ(w.path_of(cc), through_weld);
   w.disconnect(cc);
 
   // Un-welding severs the only conductor again.
-  greedy.uncontract_edge(1);
-  concurrent.uncontract_edge(1);
-  EXPECT_EQ(greedy.connect(0, 0), core::GreedyRouter::kNoCall);
-  EXPECT_EQ(w.connect(0, 0), core::ConcurrentRouter::kNoCall);
-  EXPECT_EQ(greedy.busy_vertices(), 0u);
-  EXPECT_EQ(concurrent.busy_vertices(), 0u);
+  router.uncontract_edge(1);
+  EXPECT_EQ(w.connect(0, 0), core::Router::kNoCall);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
 // Satellite pin: stuck-on and open failures coexisting on PARALLEL switches
@@ -294,66 +268,39 @@ TEST(StuckOverlay, WeldedSwitchConductsAgainstItsDirection) {
 // stays dead, and once the weld is repaired the hop lives or dies on the
 // remaining siblings alone.
 TEST(StuckOverlay, StuckAndOpenSiblingsOnOneHop) {
-  for (const bool use_concurrent : {false, true}) {
-    const auto net = build_parallel_hop();
-    core::GreedyRouter greedy(net);
-    core::ConcurrentRouter concurrent(net, 1);
-    auto& w = concurrent.worker(0);
-    const auto connect_ok = [&]() -> bool {
-      if (use_concurrent) {
-        const auto c = w.connect(0, 0);
-        if (c == core::ConcurrentRouter::kNoCall) return false;
-        w.disconnect(c);
-        return true;
-      }
-      const auto c = greedy.connect(0, 0);
-      if (c == core::GreedyRouter::kNoCall) return false;
-      greedy.disconnect(c);
-      return true;
-    };
-    const auto fail = [&](graph::EdgeId e) {
-      greedy.fail_edge(e);
-      concurrent.fail_edge(e);
-    };
-    const auto repair = [&](graph::EdgeId e) {
-      greedy.repair_edge(e);
-      concurrent.repair_edge(e);
-    };
-    const auto weld = [&](graph::EdgeId e) {
-      greedy.contract_edge(e);
-      concurrent.contract_edge(e);
-    };
-    const auto unweld = [&](graph::EdgeId e) {
-      greedy.uncontract_edge(e);
-      concurrent.uncontract_edge(e);
-    };
+  const auto net = build_parallel_hop();
+  core::Router router(net, 1);
+  auto& w = router.worker(0);
+  const auto connect_ok = [&]() -> bool {
+    const auto c = w.connect(0, 0);
+    if (c == core::Router::kNoCall) return false;
+    w.disconnect(c);
+    return true;
+  };
 
-    EXPECT_TRUE(connect_ok());
-    fail(1);  // sibling A opens: B still switches the hop
-    EXPECT_TRUE(connect_ok());
-    weld(2);  // sibling B welds shut: the hop is a forced free ride
-    EXPECT_TRUE(connect_ok());
-    // The weld must not have masked A's open failure...
-    EXPECT_TRUE(greedy.edge_failed(1));
-    EXPECT_TRUE(concurrent.edge_failed(1));
-    EXPECT_FALSE(greedy.edge_usable(1));
-    EXPECT_FALSE(concurrent.edge_usable(1));
-    // ...so repairing ONLY the weld leaves the hop dead (A is still open).
-    unweld(2);
-    fail(2);  // B now fails open too
-    EXPECT_FALSE(connect_ok());
-    repair(1);  // A heals: the hop switches normally again
-    EXPECT_TRUE(connect_ok());
-    repair(2);
-    EXPECT_TRUE(connect_ok());
-  }
+  EXPECT_TRUE(connect_ok());
+  router.fail_edge(1);  // sibling A opens: B still switches the hop
+  EXPECT_TRUE(connect_ok());
+  router.contract_edge(2);  // sibling B welds shut: a forced free ride
+  EXPECT_TRUE(connect_ok());
+  // The weld must not have masked A's open failure...
+  EXPECT_TRUE(router.edge_failed(1));
+  EXPECT_FALSE(router.edge_usable(1));
+  // ...so repairing ONLY the weld leaves the hop dead (A is still open).
+  router.uncontract_edge(2);
+  router.fail_edge(2);  // B now fails open too
+  EXPECT_FALSE(connect_ok());
+  router.repair_edge(1);  // A heals: the hop switches normally again
+  EXPECT_TRUE(connect_ok());
+  router.repair_edge(2);
+  EXPECT_TRUE(connect_ok());
 }
 
 // ---------------------------------------- overlay == repair_by_discard
 
 // Satellite pin: routing on the FULL network under the liveness overlay
 // built from a sampled FaultInstance reaches exactly the terminal pairs the
-// repair_by_discard rebuilt network reaches — on both engines. Overlay
+// repair_by_discard rebuilt network reaches. Overlay
 // semantics: spare_terminals = false, i.e. the §6 faulty mask verbatim.
 void expect_overlay_matches_discard(const graph::Network& net, double eps,
                                     std::uint64_t seed) {
@@ -362,19 +309,12 @@ void expect_overlay_matches_discard(const graph::Network& net, double eps,
   const auto overlay = fault::overlay_from_instance(inst, false);
   const auto repaired = fault::repair_by_discard(inst);
 
-  // Apply the overlay through the runtime primitives on both engines.
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
+  // Apply the overlay through the runtime primitives.
+  core::Router router(net, 1);
   for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    if (overlay.dead_vertices[v]) {
-      greedy.kill_vertex(v);
-      concurrent.kill_vertex(v);
-    }
+    if (overlay.dead_vertices[v]) router.kill_vertex(v);
   for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e)
-    if (overlay.dead_edges[e]) {
-      greedy.fail_edge(e);
-      concurrent.fail_edge(e);
-    }
+    if (overlay.dead_edges[e]) router.fail_edge(e);
 
   // Terminal-index mapping into the rebuilt network.
   std::vector<std::uint32_t> in_map(net.inputs.size(),
@@ -395,34 +335,30 @@ void expect_overlay_matches_discard(const graph::Network& net, double eps,
         out_map[o] = static_cast<std::uint32_t>(k);
   }
 
-  core::GreedyRouter reference(repaired.net);
-  auto& worker = concurrent.worker(0);
+  core::Router reference_router(repaired.net, 1);
+  auto& reference = reference_router.worker(0);
+  auto& worker = router.worker(0);
   for (std::uint32_t i = 0; i < net.inputs.size(); ++i) {
     for (std::uint32_t o = 0; o < net.outputs.size(); ++o) {
       bool reference_reaches = false;
       if (in_map[i] != static_cast<std::uint32_t>(-1) &&
           out_map[o] != static_cast<std::uint32_t>(-1)) {
         const auto c = reference.connect(in_map[i], out_map[o]);
-        if (c != core::GreedyRouter::kNoCall) {
+        if (c != core::Router::kNoCall) {
           reference_reaches = true;
           reference.disconnect(c);
         }
       }
-      const auto gc = greedy.connect(i, o);
-      EXPECT_EQ(gc != core::GreedyRouter::kNoCall, reference_reaches)
-          << "greedy overlay pair (" << i << "," << o << ") eps " << eps
-          << " seed " << seed;
-      if (gc != core::GreedyRouter::kNoCall) greedy.disconnect(gc);
       const auto cc = worker.connect(i, o);
-      EXPECT_EQ(cc != core::ConcurrentRouter::kNoCall, reference_reaches)
-          << "concurrent overlay pair (" << i << "," << o << ") eps " << eps
+      EXPECT_EQ(cc != core::Router::kNoCall, reference_reaches)
+          << "overlay pair (" << i << "," << o << ") eps " << eps
           << " seed " << seed;
-      if (cc != core::ConcurrentRouter::kNoCall) worker.disconnect(cc);
+      if (cc != core::Router::kNoCall) worker.disconnect(cc);
     }
   }
 }
 
-TEST(OverlayEquivalence, MatchesRepairByDiscardOnBothEngines) {
+TEST(OverlayEquivalence, MatchesRepairByDiscard) {
   const auto& ft = core::build_ft_network(core::FtParams::sim(1, 8, 6, 1, 3));
   for (const std::uint64_t seed : {11u, 12u, 13u})
     expect_overlay_matches_discard(ft.net, 0.02, seed);
@@ -439,8 +375,7 @@ TEST(OverlayEquivalence, MatchesRepairByDiscardOnBothEngines) {
 // FULL network under the kContractStuck liveness overlay (open failures
 // kill, stuck-on switches become free forced hops via the runtime
 // contract_edge primitive) reaches exactly the terminal pairs the OFFLINE
-// contracted-and-rebuilt network (repair_by_contraction) reaches — on both
-// engines.
+// contracted-and-rebuilt network (repair_by_contraction) reaches.
 void expect_contraction_matches_offline(const graph::Network& net,
                                         const fault::FaultModel& model,
                                         std::uint64_t seed) {
@@ -449,23 +384,13 @@ void expect_contraction_matches_offline(const graph::Network& net,
       inst, false, fault::OverlayMode::kContractStuck);
   const auto rebuilt = fault::repair_by_contraction(inst, false);
 
-  // Apply the overlay through the runtime primitives on both engines.
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter concurrent(net, 1);
+  // Apply the overlay through the runtime primitives.
+  core::Router router(net, 1);
   for (graph::VertexId v = 0; v < net.g.vertex_count(); ++v)
-    if (overlay.dead_vertices[v]) {
-      greedy.kill_vertex(v);
-      concurrent.kill_vertex(v);
-    }
+    if (overlay.dead_vertices[v]) router.kill_vertex(v);
   for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e) {
-    if (overlay.dead_edges[e]) {
-      greedy.fail_edge(e);
-      concurrent.fail_edge(e);
-    }
-    if (overlay.contracted_edges[e]) {
-      greedy.contract_edge(e);
-      concurrent.contract_edge(e);
-    }
+    if (overlay.dead_edges[e]) router.fail_edge(e);
+    if (overlay.contracted_edges[e]) router.contract_edge(e);
   }
 
   // Terminal-index mapping: rebuilt terminal lists keep the original order,
@@ -486,29 +411,25 @@ void expect_contraction_matches_offline(const graph::Network& net,
   ASSERT_EQ(next_in, rebuilt.net.inputs.size());
   ASSERT_EQ(next_out, rebuilt.net.outputs.size());
 
-  core::GreedyRouter reference(rebuilt.net);
-  auto& worker = concurrent.worker(0);
+  core::Router reference_router(rebuilt.net, 1);
+  auto& reference = reference_router.worker(0);
+  auto& worker = router.worker(0);
   for (std::uint32_t i = 0; i < net.inputs.size(); ++i) {
     for (std::uint32_t o = 0; o < net.outputs.size(); ++o) {
       bool reference_reaches = false;
       if (in_map[i] != static_cast<std::uint32_t>(-1) &&
           out_map[o] != static_cast<std::uint32_t>(-1)) {
         const auto c = reference.connect(in_map[i], out_map[o]);
-        if (c != core::GreedyRouter::kNoCall) {
+        if (c != core::Router::kNoCall) {
           reference_reaches = true;
           reference.disconnect(c);
         }
       }
-      const auto gc = greedy.connect(i, o);
-      EXPECT_EQ(gc != core::GreedyRouter::kNoCall, reference_reaches)
-          << "greedy contraction pair (" << i << "," << o << ") on "
-          << net.name << " seed " << seed;
-      if (gc != core::GreedyRouter::kNoCall) greedy.disconnect(gc);
       const auto cc = worker.connect(i, o);
-      EXPECT_EQ(cc != core::ConcurrentRouter::kNoCall, reference_reaches)
-          << "concurrent contraction pair (" << i << "," << o << ") on "
-          << net.name << " seed " << seed;
-      if (cc != core::ConcurrentRouter::kNoCall) worker.disconnect(cc);
+      EXPECT_EQ(cc != core::Router::kNoCall, reference_reaches)
+          << "contraction pair (" << i << "," << o << ") on " << net.name
+          << " seed " << seed;
+      if (cc != core::Router::kNoCall) worker.disconnect(cc);
     }
   }
 }
@@ -683,11 +604,11 @@ TEST(ExchangeFaultPlane, InjectKillsAndReroutesOnRichTopology) {
 }
 
 TEST(ExchangeFaultPlane, RerouteFailsWithoutDetourAndRepairRestores) {
-  for (const svc::Backend backend :
-       {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
+    SCOPED_TRACE(sessions);
     const auto net = build_line_with_spur();
     svc::ExchangeConfig cfg;
-    cfg.backend = backend;
+    cfg.sessions = sessions;
     svc::Exchange ex(net, std::move(cfg));
     const svc::Outcome o = ex.call({0, 0, 0, /*tag=*/7});
     ASSERT_TRUE(o.connected());
@@ -807,14 +728,14 @@ TEST(ExchangeFaultPlane, StuckOnDoesNotKillEndpointVertices) {
 }
 
 TEST(ExchangeFaultPlane, RepairOfAWeldSeversReverseCrossersOnly) {
-  for (const svc::Backend backend :
-       {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
+    SCOPED_TRACE(sessions);
     // Reverse crosser: the call exists only because the weld conducts
     // against its direction; the repair severs it, and the degraded
     // topology has no detour.
     const auto net = build_reversed_line();
     svc::ExchangeConfig cfg;
-    cfg.backend = backend;
+    cfg.sessions = sessions;
     svc::Exchange ex(net, std::move(cfg));
     fault::FaultEvent weld;
     weld.edge = 1;  // b -> a, the only a..b conductor
@@ -845,7 +766,7 @@ TEST(ExchangeFaultPlane, RepairOfAWeldSeversReverseCrossersOnly) {
     // (the switch keeps conducting in its own direction).
     const auto line = build_line_with_spur();
     svc::ExchangeConfig cfg2;
-    cfg2.backend = backend;
+    cfg2.sessions = sessions;
     svc::Exchange ex2(line, std::move(cfg2));
     fault::FaultEvent weld2;
     weld2.edge = edge_between(line.g, 1, 2);  // a -> m, ON the unique path
@@ -979,7 +900,6 @@ TEST(TrafficFaults, BatchedMultiSessionPlaneSurvivesTheSameStorm) {
       fault::FaultModel::symmetric(2e-4), net.g.edge_count(),
       /*horizon=*/1500.0, /*mean_repair=*/40.0, /*seed=*/9);
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 4;
   svc::Exchange ex(net, std::move(cfg));
   core::TrafficParams p;
@@ -1007,7 +927,6 @@ TEST(TrafficFaults, BatchedMultiSessionPlaneSurvivesTheSameStorm) {
 TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
   const auto net = networks::build_cantor({4, 0});
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
   svc::Exchange ex(net, std::move(cfg));
   core::TrafficParams p;
@@ -1033,7 +952,7 @@ TEST(TrafficFaults, BatchedPlaneMatchesImmediateBooksWithoutFaults) {
 TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kWorkers = 4;
-  core::ConcurrentRouter router(net, kWorkers);
+  core::Router router(net, kWorkers);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   // The doomed set: every switch leaving the first TWO layers' vertices on
@@ -1041,13 +960,14 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
   // crossing it.
   std::vector<graph::EdgeId> doomed;
   {
-    core::GreedyRouter probe(net);
+    core::Router probe(net, 1);
+    auto& probe_s = probe.worker(0);
     for (std::uint32_t i = 0; i + 1 < n; i += 2) {
-      const auto c = probe.connect(i, i + 1);
-      if (c == core::GreedyRouter::kNoCall) continue;
-      const auto path = probe.path_of(c);
+      const auto c = probe_s.connect(i, i + 1);
+      if (c == core::Router::kNoCall) continue;
+      const auto path = probe_s.path_of(c);
       if (path.size() >= 2) doomed.push_back(edge_between(net.g, path[0], path[1]));
-      probe.disconnect(c);
+      probe_s.disconnect(c);
     }
   }
   ASSERT_FALSE(doomed.empty());
@@ -1059,7 +979,7 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
     threads.emplace_back([&, t] {
       auto& w = router.worker(t);
       util::Xoshiro256 rng(util::derive_seed(311, t));
-      std::vector<core::ConcurrentRouter::CallId> mine;
+      std::vector<core::Router::CallId> mine;
       for (int op = 0; op < 3000; ++op) {
         const bool after_flip = flipped.load(std::memory_order_acquire);
         if (!mine.empty() && (rng() & 3u) == 0) {
@@ -1071,7 +991,7 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
           const auto in = static_cast<std::uint32_t>(rng() % n);
           const auto out = static_cast<std::uint32_t>(rng() % n);
           const auto call = w.connect(in, out);
-          if (call == core::ConcurrentRouter::kNoCall) continue;
+          if (call == core::Router::kNoCall) continue;
           if (after_flip) {
             // Every hop must still be routable on a LIVE switch.
             const auto path = w.path_of(call);
@@ -1116,23 +1036,24 @@ TEST(ConcurrentOverlay, EdgeFlipsRacingConnectsNeverSettleDeadPaths) {
 TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kWorkers = 4;
-  core::ConcurrentRouter router(net, kWorkers);
+  core::Router router(net, kWorkers);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   // Disjoint flip sets off a probe's paths: first hops open-fail, second
   // hops weld shut.
   std::vector<graph::EdgeId> doomed, welded;
   {
-    core::GreedyRouter probe(net);
+    core::Router probe(net, 1);
+    auto& probe_s = probe.worker(0);
     for (std::uint32_t i = 0; i + 1 < n; i += 2) {
-      const auto c = probe.connect(i, i + 1);
-      if (c == core::GreedyRouter::kNoCall) continue;
-      const auto path = probe.path_of(c);
+      const auto c = probe_s.connect(i, i + 1);
+      if (c == core::Router::kNoCall) continue;
+      const auto path = probe_s.path_of(c);
       if (path.size() >= 3) {
         doomed.push_back(edge_between(net.g, path[0], path[1]));
         welded.push_back(edge_between(net.g, path[1], path[2]));
       }
-      probe.disconnect(c);
+      probe_s.disconnect(c);
     }
   }
   ASSERT_FALSE(doomed.empty());
@@ -1145,7 +1066,7 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
     threads.emplace_back([&, t] {
       auto& w = router.worker(t);
       util::Xoshiro256 rng(util::derive_seed(977, t));
-      std::vector<core::ConcurrentRouter::CallId> mine;
+      std::vector<core::Router::CallId> mine;
       for (int op = 0; op < 3000; ++op) {
         const bool after_flip = flipped.load(std::memory_order_acquire);
         if (!mine.empty() && (rng() & 3u) == 0) {
@@ -1157,7 +1078,7 @@ TEST(ConcurrentOverlay, StuckFlipsRacingConnectsStayCarried) {
           const auto in = static_cast<std::uint32_t>(rng() % n);
           const auto out = static_cast<std::uint32_t>(rng() % n);
           const auto call = w.connect(in, out);
-          if (call == core::ConcurrentRouter::kNoCall) continue;
+          if (call == core::Router::kNoCall) continue;
           if (after_flip) {
             const auto path = w.path_of(call);
             for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -1212,7 +1133,6 @@ TEST(ExchangeFaultPlane, ChurnWithInjectRepairRacingSessionsStaysSound) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = kSessions;
   svc::Exchange ex(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());

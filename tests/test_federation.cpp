@@ -2,7 +2,7 @@
 // with reverse-order abort, trunk-group selection (least-loaded + AIMD
 // penalty), the composed fault planes (trunk edge faults, member faults with
 // half-call reconciliation), the batched plane, and exact book balance after
-// abort/fault storms on both engines.
+// abort/fault storms with one and with two sessions per member.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,10 +19,9 @@
 namespace ftcs::svc {
 namespace {
 
-FederationConfig fed_cfg(Backend backend, std::uint32_t subscribers = 0) {
+FederationConfig fed_cfg(unsigned sessions, std::uint32_t subscribers = 0) {
   FederationConfig cfg;
-  cfg.backend = backend;
-  cfg.sessions = backend == Backend::kConcurrent ? 2 : 1;
+  cfg.sessions = sessions;
   cfg.subscribers = subscribers;
   return cfg;
 }
@@ -38,7 +37,7 @@ std::size_t total_occupancy(const Federation& fed) {
 TEST(FederationShardMap, PortDealingBalancesMeshQuotas) {
   const auto net = networks::build_cantor({4, 0});  // 16 ports per member
   const unsigned kShards = 4;
-  Federation fed(net, kShards, fed_cfg(Backend::kGreedy));
+  Federation fed(net, kShards, fed_cfg(1));
   // Default split: 3/4 subscribers, remainder trunk ports.
   EXPECT_EQ(fed.subscribers_per_member(), 12u);
   EXPECT_EQ(fed.input_count(), 48u);
@@ -88,7 +87,7 @@ TEST(FederationShardMap, PortDealingBalancesMeshQuotas) {
 
 TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
   const auto net = networks::build_cantor({4, 0});
-  FederationConfig cfg = fed_cfg(Backend::kGreedy);
+  FederationConfig cfg = fed_cfg(1);
   cfg.topology = FederationConfig::Topology::kRing;
   Federation fed(net, 6, cfg);
   for (unsigned a = 0; a < 6; ++a) {
@@ -109,7 +108,7 @@ TEST(FederationShardMap, RingTopologyTrunksOnlyNeighbours) {
 
 TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   const FedOutcome o = fed.call({0, 1, 0, 42});
   ASSERT_TRUE(o.connected());
   EXPECT_TRUE(o.id.valid());
@@ -132,7 +131,7 @@ TEST(FederationCalls, IntraFastPathNeverTouchesFederationState) {
 
 TEST(FederationCalls, InterCallLifecycleClaimsAndReleasesInOrder) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   const std::uint32_t in = fed.global_of(0, 3), out = fed.global_of(1, 5);
   const FedOutcome o = fed.call({in, out, 0, 7});
   ASSERT_TRUE(o.connected());
@@ -168,8 +167,8 @@ TEST(FederationCalls, InterCallLifecycleClaimsAndReleasesInOrder) {
 
 TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed_a(net, 2, fed_cfg(Backend::kGreedy));
-  Federation fed_b(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed_a(net, 2, fed_cfg(1));
+  Federation fed_b(net, 2, fed_cfg(1));
   EXPECT_EQ(fed_a.hangup(FedCallId{}), RejectReason::kStaleHandle);
   const FedOutcome o = fed_b.call(
       {fed_b.global_of(0, 0), fed_b.global_of(1, 0), 0, 0});
@@ -184,10 +183,10 @@ TEST(FederationCalls, HandleSafetyNullForeignAndBadTerminal) {
 }
 
 /// Drives typed per-stage aborts: each failure point must release every
-/// prior claim (trunk line, ingress half), on both engines.
-void run_two_phase_abort_paths(Backend backend) {
+/// prior claim (trunk line, ingress half), with `sessions` per member.
+void run_two_phase_abort_paths(unsigned sessions) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(backend));
+  Federation fed(net, 2, fed_cfg(sessions));
   const std::uint32_t subs = fed.subscribers_per_member();
 
   // INGRESS abort: caller's input is already busy -> member typed reject,
@@ -236,20 +235,20 @@ void run_two_phase_abort_paths(Backend backend) {
   EXPECT_EQ(fed.busy_vertices(), 0u);
 }
 
-TEST(FederationTwoPhase, AbortPathsReleaseEverythingGreedy) {
-  run_two_phase_abort_paths(Backend::kGreedy);
+TEST(FederationTwoPhase, AbortPathsReleaseEverythingOneSession) {
+  run_two_phase_abort_paths(1);
 }
-TEST(FederationTwoPhase, AbortPathsReleaseEverythingConcurrent) {
-  run_two_phase_abort_paths(Backend::kConcurrent);
+TEST(FederationTwoPhase, AbortPathsReleaseEverythingTwoSessions) {
+  run_two_phase_abort_paths(2);
 }
 
 /// A storm of forced failures at every setup stage; afterwards every book
 /// balances to exactly zero (busy popcount, trunk occupancy, slot books).
-void run_abort_storm(Backend backend) {
+void run_abort_storm(unsigned sessions) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 4, fed_cfg(backend));
+  Federation fed(net, 4, fed_cfg(sessions));
   const std::uint32_t subs = fed.subscribers_per_member();
-  util::Xoshiro256 rng(util::derive_seed(92, backend == Backend::kGreedy));
+  util::Xoshiro256 rng(util::derive_seed(92, sessions == 1));
   std::vector<FedCallId> held;
   for (int round = 0; round < 2000; ++round) {
     const auto in = static_cast<std::uint32_t>(rng.below(fed.input_count()));
@@ -297,11 +296,11 @@ void run_abort_storm(Backend backend) {
   }
 }
 
-TEST(FederationTwoPhase, AbortStormBooksBalanceGreedy) {
-  run_abort_storm(Backend::kGreedy);
+TEST(FederationTwoPhase, AbortStormBooksBalanceOneSession) {
+  run_abort_storm(1);
 }
-TEST(FederationTwoPhase, AbortStormBooksBalanceConcurrent) {
-  run_abort_storm(Backend::kConcurrent);
+TEST(FederationTwoPhase, AbortStormBooksBalanceTwoSessions) {
+  run_abort_storm(2);
 }
 
 TEST(TrunkGroupUnit, RotatingClaimAndAimdPenalty) {
@@ -349,7 +348,7 @@ TEST(TrunkGroupUnit, RotatingClaimAndAimdPenalty) {
 
 TEST(TrunkSelection, LeastLoadedTiebreakSpreadsAcrossParallelGroups) {
   const auto net = networks::build_cantor({4, 0});
-  FederationConfig cfg = fed_cfg(Backend::kGreedy);
+  FederationConfig cfg = fed_cfg(1);
   cfg.groups_per_peer = 2;  // split each peer quota into two parallel groups
   Federation fed(net, 2, cfg);
   const auto gids = fed.groups_between(0, 1);
@@ -370,7 +369,7 @@ TEST(TrunkSelection, LeastLoadedTiebreakSpreadsAcrossParallelGroups) {
 
 TEST(FederationFaults, TrunkFaultTearsDownTypedAndReadmits) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   const FedOutcome o = fed.call(
       {fed.global_of(0, 1), fed.global_of(1, 1), 0, 31});
   ASSERT_TRUE(o.connected());
@@ -419,10 +418,10 @@ TEST(FederationFaults, TrunkFaultTearsDownTypedAndReadmits) {
 
 /// Trunk-fault storm: every killed inter call gets a typed teardown of both
 /// halves and a re-admission; books balance exactly afterwards.
-void run_trunk_fault_storm(Backend backend) {
+void run_trunk_fault_storm(unsigned sessions) {
   const auto net = networks::build_cantor({5, 0});  // 32 ports per member
-  Federation fed(net, 4, fed_cfg(backend));
-  util::Xoshiro256 rng(util::derive_seed(1992, backend == Backend::kGreedy));
+  Federation fed(net, 4, fed_cfg(sessions));
+  util::Xoshiro256 rng(util::derive_seed(1992, sessions == 1));
   // Bring up a population of inter calls, tracked by tag.
   std::map<std::uint64_t, FedCallId> live;
   std::uint64_t tag = 0;
@@ -485,16 +484,16 @@ void run_trunk_fault_storm(Backend backend) {
   EXPECT_EQ(st.handle_errors, 0u);
 }
 
-TEST(FederationFaults, TrunkFaultStormBooksBalanceGreedy) {
-  run_trunk_fault_storm(Backend::kGreedy);
+TEST(FederationFaults, TrunkFaultStormBooksBalanceOneSession) {
+  run_trunk_fault_storm(1);
 }
-TEST(FederationFaults, TrunkFaultStormBooksBalanceConcurrent) {
-  run_trunk_fault_storm(Backend::kConcurrent);
+TEST(FederationFaults, TrunkFaultStormBooksBalanceTwoSessions) {
+  run_trunk_fault_storm(2);
 }
 
 TEST(FederationFaults, MemberFaultAdoptsReroutedHalf) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   const FedOutcome o = fed.call(
       {fed.global_of(0, 2), fed.global_of(1, 2), 0, 77});
   ASSERT_TRUE(o.connected());
@@ -529,7 +528,7 @@ TEST(FederationFaults, MemberFaultAdoptsReroutedHalf) {
 
 TEST(FederationFaults, MemberFaultTearsDownMateWhenHalfUncarried) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   const FedOutcome o = fed.call(
       {fed.global_of(0, 2), fed.global_of(1, 2), 0, 55});
   ASSERT_TRUE(o.connected());
@@ -568,7 +567,7 @@ TEST(FederationFaults, MemberFaultTearsDownMateWhenHalfUncarried) {
 
 TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   std::vector<Ticket> tickets;
   // Mixed window: intra shard 0, intra shard 1, inter both directions.
   tickets.push_back(fed.submit({fed.global_of(0, 0), fed.global_of(0, 1), 0, 0}));
@@ -612,7 +611,7 @@ TEST(FederationBatched, MixedTrafficDrainsAndPolls) {
 
 TEST(FederationBatched, TrunkExhaustionBouncesTypedWithinEpoch) {
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   std::uint32_t lines_01 = 0;
   for (const auto g : fed.groups_between(0, 1))
     lines_01 += fed.trunk_group(g).capacity();
@@ -718,7 +717,7 @@ TEST(FederationStatsMerge, RoundTripCoversTrunkAndHalfCallCounters) {
   // Delta semantics against a LIVE federation: a scrape-style before/after
   // difference carries exactly the interval's trunk/half-call activity.
   const auto net = networks::build_cantor({4, 0});
-  Federation fed(net, 2, fed_cfg(Backend::kGreedy));
+  Federation fed(net, 2, fed_cfg(1));
   const FederationStats before = fed.stats();
   const FedOutcome o = fed.call(
       {fed.global_of(0, 0), fed.global_of(1, 0), 0, 0});

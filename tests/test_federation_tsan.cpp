@@ -24,7 +24,6 @@ namespace {
 TEST(FederationChurnTsan, SubmittersRaceTrunkFaultsThroughCommandQueue) {
   const auto net = networks::build_cantor({4, 0});
   FederationConfig cfg;
-  cfg.backend = Backend::kConcurrent;
   cfg.sessions = 2;
   Federation fed(net, 3, cfg);
   ops::ControlPlane cp(fed);

@@ -1,9 +1,9 @@
 // Hitless capacity growth: the GrownNetwork contract (NetworkDelta /
 // finalize_grown merge invariants), grow_cantor's doubled topology,
-// Exchange::grow's live-call remap on both engines (identity and locality
-// finalize), overlay/fault-bookkeeping survival, the TopologyEvent
-// dispatch seam, the ops::ControlPlane kGrow ack, and the batched plane
-// serving the new terminals the epoch after the merge.
+// Exchange::grow's live-call remap with one and two router sessions
+// (identity and locality finalize), overlay/fault-bookkeeping survival, the
+// TopologyEvent dispatch seam, the ops::ControlPlane kGrow ack, and the
+// batched plane serving the new terminals the epoch after the merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,15 +136,16 @@ TEST(NetworkDelta, LocalityFinalizeUpholdsTheSameContractThroughVmap) {
 // --------------------------------------------------- growth equivalence
 
 // The grown network serves exactly the terminal pairs a from-scratch
-// double-size Cantor serves: every pair, on an idle exchange, on both
-// engines — plus a full simultaneous permutation (the strictly-nonblocking
-// load the appended planes must carry).
+// double-size Cantor serves: every pair, on an idle exchange, with one
+// and two router sessions — plus a full simultaneous permutation (the
+// strictly-nonblocking load the appended planes must carry).
 TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
-  for (const auto backend : {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+  for (const unsigned sessions : {1u, 2u}) {
+    SCOPED_TRACE(sessions);
     const auto base = networks::build_cantor({3, 0});
     const auto fresh = networks::build_cantor({4, 0});
     svc::ExchangeConfig cfg_g, cfg_f;
-    cfg_g.backend = cfg_f.backend = backend;
+    cfg_g.sessions = cfg_f.sessions = sessions;
     svc::Exchange grown_ex(base, std::move(cfg_g));
     ASSERT_TRUE(grown_ex.grow(doubling_plan(grown_ex, {3, 0})).applied);
     svc::Exchange fresh_ex(fresh, std::move(cfg_f));
@@ -180,11 +181,11 @@ TEST(GrowthEquivalence, GrownReachesEveryPairAFreshDoubleReaches) {
 TEST(ExchangeGrowth, LiveCallsSurviveWithVmapImagePaths) {
   for (const auto relabel :
        {graph::RelabelMode::kNone, graph::RelabelMode::kLocality}) {
-    for (const auto backend :
-         {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+    for (const unsigned sessions : {1u, 2u}) {
+      SCOPED_TRACE(sessions);
       const auto base = networks::build_cantor({3, 0});
       svc::ExchangeConfig cfg;
-      cfg.backend = backend;
+      cfg.sessions = sessions;
       svc::Exchange ex(base, std::move(cfg));
       const auto n = static_cast<std::uint32_t>(ex.input_count());
 
@@ -404,7 +405,6 @@ TEST(ControlPlaneGrowth, KGrowAcksRealEffectsAndDeclinesARegrow) {
 TEST(ExchangeGrowth, DrainServesNewTerminalsTheEpochAfterTheMerge) {
   const auto base = networks::build_cantor({3, 0});
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
   svc::Exchange ex(base, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(ex.input_count());

@@ -27,7 +27,6 @@ TEST(ExchangeGrowthTsan, GrowthMidFaultStormRacingSessionsStaysSound) {
   const auto net = networks::build_cantor({4, 0});
   constexpr unsigned kSessions = 4;
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = kSessions;
   svc::Exchange ex(net, std::move(cfg));
 

@@ -151,9 +151,10 @@ TEST(FtMajorityAccess, BusyPathsLeaveMajorityIntact) {
   // Lemma 6's point: established calls consume one center vertex each, so
   // center-stage majority access survives maximal load (n << width/2).
   const auto ft = build_ft_network(FtParams::sim(2, 4, 6, 1, 18));
-  GreedyRouter router(ft.net);
+  Router router(ft.net, 1);
+  auto& session = router.worker(0);
   for (std::uint32_t i = 0; i < ft.n() / 2; ++i)
-    ASSERT_NE(router.connect(i, i), GreedyRouter::kNoCall);
+    ASSERT_NE(session.connect(i, i), Router::kNoCall);
   const auto report = ft_majority_access(ft, {}, router.busy_mask());
   EXPECT_TRUE(report.majority());
   EXPECT_GT(report.forward.min_access, ft.center_stage.size() / 2);

@@ -274,7 +274,6 @@ TEST(OpsControlPlane, OperatorCommandsRaceChurningSessionsSafely) {
   const auto net = networks::build_cantor({5, 0});
   constexpr unsigned kSessions = 4;
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = kSessions;
   cfg.qos_immediate = true;
   cfg.class_deadlines = {0.0, 0.0, 0.0, 1e-9};

@@ -72,24 +72,25 @@ TEST_P(AllNetworks, EveryTerminalTouchesAnEdge) {
 TEST_P(AllNetworks, RouterLifecycleInvariant) {
   // connect/disconnect churn must restore a pristine busy mask.
   const auto net = GetParam().build();
-  core::GreedyRouter router(net);
+  core::Router router(net, 1);
+  auto& session = router.worker(0);
   util::Xoshiro256 rng(5);
-  std::vector<core::GreedyRouter::CallId> calls;
+  std::vector<core::Router::CallId> calls;
   for (int op = 0; op < 200; ++op) {
     if (calls.empty() || rng.bernoulli(0.6)) {
       const auto in = static_cast<std::uint32_t>(rng.below(net.inputs.size()));
       const auto out = static_cast<std::uint32_t>(rng.below(net.outputs.size()));
       if (!router.input_idle(in) || !router.output_idle(out)) continue;
-      const auto c = router.connect(in, out);
-      if (c != core::GreedyRouter::kNoCall) calls.push_back(c);
+      const auto c = session.connect(in, out);
+      if (c != core::Router::kNoCall) calls.push_back(c);
     } else {
       const auto pick = rng.below(calls.size());
-      router.disconnect(calls[pick]);
+      session.disconnect(calls[pick]);
       calls[pick] = calls.back();
       calls.pop_back();
     }
   }
-  for (auto c : calls) router.disconnect(c);
+  for (auto c : calls) session.disconnect(c);
   EXPECT_EQ(router.active_calls(), 0u);
   EXPECT_EQ(router.busy_vertices(), 0u);
   for (auto b : router.busy_mask()) EXPECT_EQ(b, 0);

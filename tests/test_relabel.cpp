@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/router.hpp"
 #include "graph/digraph.hpp"
 #include "networks/cantor.hpp"
@@ -166,22 +165,11 @@ TEST(Relabel, CsrIsExactImageWithStableEdgeIds) {
   }
 }
 
-TEST(Relabel, GreedyChurnIsExactImage) {
+TEST(Relabel, OneSessionChurnIsExactImage) {
   const auto base = networks::build_cantor({4, 0});
   const auto hot = graph::relabel_locality(base);
-  core::GreedyRouter a(base);
-  core::GreedyRouter b(hot);
-  run_relabel_trace(a, b, hot.hot_of,
-                    static_cast<std::uint32_t>(base.inputs.size()), 7321, 800);
-  expect_same_books(a.stats(), b.stats());
-  EXPECT_EQ(a.busy_vertices(), b.busy_vertices());
-}
-
-TEST(Relabel, ConcurrentOneWorkerChurnIsExactImage) {
-  const auto base = networks::build_cantor({4, 0});
-  const auto hot = graph::relabel_locality(base);
-  core::ConcurrentRouter a(base, 1);
-  core::ConcurrentRouter b(hot, 1);
+  core::Router a(base, 1);
+  core::Router b(hot, 1);
   run_relabel_trace(a.worker(0), b.worker(0), hot.hot_of,
                     static_cast<std::uint32_t>(base.inputs.size()), 7321, 800);
   expect_same_books(a.stats(), b.stats());
@@ -191,14 +179,14 @@ TEST(Relabel, ConcurrentOneWorkerChurnIsExactImage) {
 TEST(Relabel, DegradedOverlayChurnIsExactImage) {
   const auto base = networks::build_cantor({4, 0});
   const auto hot = graph::relabel_locality(base);
-  core::GreedyRouter a(base);
-  core::GreedyRouter b(hot);
+  core::Router a(base, 1);
+  core::Router b(hot, 1);
   // Same fail schedule BY EDGE ID on both sides: ids are relabel-stable.
   for (graph::EdgeId e = 3; e < base.g.edge_count(); e += 17) {
     a.fail_edge(e);
     b.fail_edge(e);
   }
-  run_relabel_trace(a, b, hot.hot_of,
+  run_relabel_trace(a.worker(0), b.worker(0), hot.hot_of,
                     static_cast<std::uint32_t>(base.inputs.size()), 4711, 800);
   expect_same_books(a.stats(), b.stats());
 }
@@ -206,8 +194,10 @@ TEST(Relabel, DegradedOverlayChurnIsExactImage) {
 TEST(Relabel, WeldedOverlayKeepsVerdictParity) {
   const auto base = networks::build_cantor({4, 0});
   const auto hot = graph::relabel_locality(base);
-  core::GreedyRouter a(base);
-  core::GreedyRouter b(hot);
+  core::Router a(base, 1);
+  core::Router b(hot, 1);
+  auto& wa = a.worker(0);
+  auto& wb = b.worker(0);
   for (graph::EdgeId e = 5; e < base.g.edge_count(); e += 29) {
     a.contract_edge(e);
     b.contract_edge(e);
@@ -218,14 +208,13 @@ TEST(Relabel, WeldedOverlayKeepsVerdictParity) {
   for (int trial = 0; trial < 300; ++trial) {
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto ca = a.connect(in, out);
-    const auto cb = b.connect(in, out);
-    ASSERT_EQ(ca == core::GreedyRouter::kNoCall,
-              cb == core::GreedyRouter::kNoCall)
+    const auto ca = wa.connect(in, out);
+    const auto cb = wb.connect(in, out);
+    ASSERT_EQ(ca == core::Router::kNoCall, cb == core::Router::kNoCall)
         << "welded verdict divergence at trial " << trial;
-    if (ca == core::GreedyRouter::kNoCall) continue;
-    a.disconnect(ca);
-    b.disconnect(cb);
+    if (ca == core::Router::kNoCall) continue;
+    wa.disconnect(ca);
+    wb.disconnect(cb);
     ++routed;
   }
   ASSERT_GT(routed, 0u);
@@ -247,7 +236,6 @@ TEST(Relabel, ExchangeDrainOutcomesMatch) {
 
   const auto make = [](const graph::Network& net) {
     svc::ExchangeConfig cfg;
-    cfg.backend = svc::Backend::kConcurrent;
     cfg.sessions = 1;  // deterministic drain order
     return std::make_unique<svc::Exchange>(net, std::move(cfg));
   };
@@ -312,7 +300,6 @@ TEST(Relabel, HomedDrainRoutesByInputRange) {
   constexpr unsigned kSessions = 4;
 
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = kSessions;
   cfg.home_sessions = true;
   svc::Exchange ex(hot, std::move(cfg));
@@ -340,7 +327,6 @@ TEST(Relabel, HomedDrainRoutesByInputRange) {
 TEST(Relabel, ExchangeAffinityMatchesPlanOutcome) {
   const auto hot = graph::relabel_locality(networks::build_cantor({3, 0}));
   svc::ExchangeConfig cfg;
-  cfg.backend = svc::Backend::kConcurrent;
   cfg.sessions = 2;
   cfg.affinity = util::AffinityPolicy::kSpread;
   svc::Exchange ex(hot, std::move(cfg));

@@ -11,15 +11,16 @@ namespace {
 
 TEST(Router, ConnectDisconnectLifecycle) {
   const auto net = networks::build_crossbar(4);
-  GreedyRouter router(net);
+  Router router(net, 1);
+  auto& session = router.worker(0);
   EXPECT_TRUE(router.input_idle(0));
-  const auto call = router.connect(0, 2);
-  ASSERT_NE(call, GreedyRouter::kNoCall);
+  const auto call = session.connect(0, 2);
+  ASSERT_NE(call, Router::kNoCall);
   EXPECT_FALSE(router.input_idle(0));
   EXPECT_FALSE(router.output_idle(2));
   EXPECT_EQ(router.active_calls(), 1u);
-  EXPECT_EQ(router.path_of(call).size(), 2u);
-  router.disconnect(call);
+  EXPECT_EQ(session.path_of(call).size(), 2u);
+  session.disconnect(call);
   EXPECT_TRUE(router.input_idle(0));
   EXPECT_TRUE(router.output_idle(2));
   EXPECT_EQ(router.active_calls(), 0u);
@@ -28,39 +29,43 @@ TEST(Router, ConnectDisconnectLifecycle) {
 
 TEST(Router, RejectsBusyTerminals) {
   const auto net = networks::build_crossbar(3);
-  GreedyRouter router(net);
-  const auto c1 = router.connect(0, 0);
-  ASSERT_NE(c1, GreedyRouter::kNoCall);
-  EXPECT_EQ(router.connect(0, 1), GreedyRouter::kNoCall);
-  EXPECT_EQ(router.connect(1, 0), GreedyRouter::kNoCall);
-  EXPECT_NE(router.connect(1, 1), GreedyRouter::kNoCall);
+  Router router(net, 1);
+  auto& session = router.worker(0);
+  const auto c1 = session.connect(0, 0);
+  ASSERT_NE(c1, Router::kNoCall);
+  EXPECT_EQ(session.connect(0, 1), Router::kNoCall);
+  EXPECT_EQ(session.connect(1, 0), Router::kNoCall);
+  EXPECT_NE(session.connect(1, 1), Router::kNoCall);
 }
 
 TEST(Router, BlockedVerticesNeverUsed) {
   const auto net = networks::build_crossbar(3);
   std::vector<std::uint8_t> blocked(net.g.vertex_count(), 0);
   blocked[net.inputs[1]] = 1;
-  GreedyRouter router(net, blocked);
+  Router router(net, 1, blocked);
+  auto& session = router.worker(0);
   EXPECT_FALSE(router.input_idle(1));
-  EXPECT_EQ(router.connect(1, 0), GreedyRouter::kNoCall);
-  EXPECT_NE(router.connect(0, 0), GreedyRouter::kNoCall);
+  EXPECT_EQ(session.connect(1, 0), Router::kNoCall);
+  EXPECT_NE(session.connect(0, 0), Router::kNoCall);
 }
 
 TEST(Router, SlotReuseAfterDisconnect) {
   const auto net = networks::build_crossbar(4);
-  GreedyRouter router(net);
-  const auto c1 = router.connect(0, 0);
-  router.disconnect(c1);
-  const auto c2 = router.connect(1, 1);
+  Router router(net, 1);
+  auto& session = router.worker(0);
+  const auto c1 = session.connect(0, 0);
+  session.disconnect(c1);
+  const auto c2 = session.connect(1, 1);
   EXPECT_EQ(c1, c2);  // slot reused
-  router.disconnect(c2);
+  session.disconnect(c2);
 }
 
 TEST(Router, FullLoadOnCrossbar) {
   const auto net = networks::build_crossbar(5);
-  GreedyRouter router(net);
+  Router router(net, 1);
+  auto& session = router.worker(0);
   for (std::uint32_t i = 0; i < 5; ++i)
-    ASSERT_NE(router.connect(i, (i + 2) % 5), GreedyRouter::kNoCall);
+    ASSERT_NE(session.connect(i, (i + 2) % 5), Router::kNoCall);
   EXPECT_EQ(router.active_calls(), 5u);
 }
 
@@ -74,7 +79,7 @@ void expect_report_agrees_with_stats(const TrafficReport& report) {
   EXPECT_EQ(report.blocked,
             r.rejected_no_path + r.rejected_contention + r.rejected_terminal);
   // The simulator pre-checks terminal idleness, so nothing should ever be
-  // rejected at a terminal by the engine on the single-session plane.
+  // rejected at a terminal by the router on the single-session plane.
   EXPECT_EQ(r.rejected_terminal, 0u);
   // Every carried call is hung up by the end of the run.
   EXPECT_EQ(report.service.hangups, report.carried);
@@ -88,11 +93,10 @@ TEST(Traffic, LightLoadNoBlockingOnStrictClos) {
   p.mean_holding = 1.0;
   p.sim_time = 2000;
   p.seed = 3;
-  // The same simulation must hold on BOTH engine backends.
-  for (const svc::Backend backend :
-       {svc::Backend::kGreedy, svc::Backend::kConcurrent}) {
+  // The same simulation must hold with one router session and with two.
+  for (const unsigned sessions : {1u, 2u}) {
     svc::ExchangeConfig cfg;
-    cfg.backend = backend;
+    cfg.sessions = sessions;
     svc::Exchange exchange(net, std::move(cfg));
     const auto report = simulate_traffic(exchange, p);
     EXPECT_GT(report.offered, 500u);
@@ -103,20 +107,21 @@ TEST(Traffic, LightLoadNoBlockingOnStrictClos) {
   }
 }
 
-TEST(Traffic, BothBackendsProduceIdenticalReports) {
+// The immediate plane runs on session 0, so extra sessions must not change
+// a single byte of the report.
+TEST(Traffic, SessionCountDoesNotChangeImmediateReports) {
   const auto net = networks::build_crossbar(8);
   TrafficParams p;
   p.arrival_rate = 2.0;
   p.mean_holding = 1.0;
   p.sim_time = 800;
   p.seed = 9;
-  svc::Exchange greedy(net, {});
-  svc::ExchangeConfig ccfg;
-  ccfg.backend = svc::Backend::kConcurrent;
-  ccfg.sessions = 1;
-  svc::Exchange concurrent(net, std::move(ccfg));
-  const auto a = simulate_traffic(greedy, p);
-  const auto b = simulate_traffic(concurrent, p);
+  svc::Exchange one(net, {});
+  svc::ExchangeConfig cfg;
+  cfg.sessions = 2;
+  svc::Exchange two(net, std::move(cfg));
+  const auto a = simulate_traffic(one, p);
+  const auto b = simulate_traffic(two, p);
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.carried, b.carried);
   EXPECT_EQ(a.blocked, b.blocked);

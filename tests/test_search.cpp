@@ -5,21 +5,22 @@
 //    churn on 𝒩̂, cantor-k5 and cantor-k7, healthy and with open-failed
 //    switches, compares every settled path with a test-local full-level
 //    bidirectional BFS (same expansion order and tie-breaks, no exit):
-//    paths and verdicts must be identical, the kernel must visit fewer
-//    vertices, and a 1-worker ConcurrentRouter must stay path-for-path
-//    identical to GreedyRouter.
+//    paths and verdicts of a 1-session core::Router must be identical to
+//    it, and the kernel must visit fewer vertices.
 //  - Welded path identity: with stuck-on switches live, the kernel gates
 //    the weld work per weld-incident vertex and exits once no free hop is
-//    left in the level. The same lockstep churn on 𝒩̂ and cantor-k7, with
+//    left in the level. The same checked churn on 𝒩̂ and cantor-k7, with
 //    sparse and dense welds plus open failures, compares every settled
 //    path with a test-local copy of the full-level welded body (reverse
 //    scans at every vertex, no exit); sparse welds must cost fewer visits.
-//    The weld map must follow hitless growth on both engines, under the
-//    identity and the locality vmap.
+//    The weld map must follow hitless growth, under the identity and the
+//    locality vmap.
 //  - Welds: the kernel crosses welds as free hops in both directions
 //    (including reverse conduction against the edge direction) and settles
 //    electrically sound paths.
-//  - Degraded overlay: failed switches keep both engines' books identical.
+//  - Degraded overlay: with failed switches and random (busy-terminal)
+//    requests, every verdict and path matches the reference and the books
+//    partition the connects.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/ft_network.hpp"
 #include "ftcs/params.hpp"
 #include "ftcs/router.hpp"
@@ -52,7 +52,7 @@ struct RefResult {
 RefResult reference_search(const graph::CsrGraph& g, graph::VertexId src,
                            graph::VertexId dst,
                            const std::vector<std::uint8_t>& busy,
-                           const core::GreedyRouter& router) {
+                           const core::Router& router) {
   RefResult r;
   if (busy[src] || busy[dst]) return r;
   struct Side {
@@ -281,14 +281,14 @@ RefResult welded_reference(const graph::CsrGraph& g, graph::VertexId src,
 }
 
 struct Churn {
-  std::vector<core::GreedyRouter::CallId> active;  // same ids on both engines
+  std::vector<core::Router::CallId> active;
   std::uint64_t ref_visits = 0;  // the reference's visits, summed
   std::size_t compared = 0;      // settled paths checked
   std::size_t welded = 0;        // ...of which cross a stuck-on switch
 };
 
 /// Does `path` cross a stuck-on switch (either direction)?
-bool crosses_weld(const core::GreedyRouter& r, const graph::CsrGraph& g,
+bool crosses_weld(const core::Router& r, const graph::CsrGraph& g,
                   const std::vector<graph::VertexId>& path) {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     for (const auto& [a, b] : {std::pair{path[i], path[i + 1]},
@@ -305,88 +305,71 @@ bool crosses_weld(const core::GreedyRouter& r, const graph::CsrGraph& g,
 }
 
 /// Idle-pair churn (both terminals idle on every connect, occupancy capped
-/// at 80%) through a GreedyRouter and its 1-worker ConcurrentRouter twin in
-/// lockstep. `reference(in, out)` runs before each connect on the routers'
-/// shared state; verdict and path must match it, and the kernel may not
-/// visit more vertices than it. Calls left in `churn.active` stay live.
+/// at 80%) through a 1-session router. `reference(in, out)` runs before
+/// each connect on the router's state; verdict and path must match it, and
+/// the kernel may not visit more vertices than it. Calls left in
+/// `churn.active` stay live.
 template <class Reference>
-void lockstep_churn(const graph::Network& net, core::GreedyRouter& greedy,
-                    core::ConcurrentRouter& conc, util::Xoshiro256& rng,
-                    std::size_t ops, Reference&& reference, Churn& churn) {
-  auto& worker = conc.worker(0);
+void checked_churn(const graph::Network& net, core::Router& router,
+                   util::Xoshiro256& rng, std::size_t ops,
+                   Reference&& reference, Churn& churn) {
+  auto& session = router.worker(0);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   auto& active = churn.active;
   for (std::size_t op = 0; op < ops; ++op) {
     if (!active.empty() &&
         (active.size() * 5 >= std::size_t{n} * 4 || rng.below(2) == 0)) {
       const auto idx = rng.below(active.size());
-      greedy.disconnect(active[idx]);
-      worker.disconnect(active[idx]);
+      session.disconnect(active[idx]);
       active[idx] = active.back();
       active.pop_back();
       continue;
     }
     std::uint32_t in, out;
     do in = static_cast<std::uint32_t>(rng.below(n));
-    while (!greedy.input_idle(in));
+    while (!router.input_idle(in));
     do out = static_cast<std::uint32_t>(rng.below(n));
-    while (!greedy.output_idle(out));
+    while (!router.output_idle(out));
     const RefResult ref = reference(in, out);
-    const std::uint64_t visits_before = greedy.stats().vertices_visited;
-    const auto call = greedy.connect(in, out);
-    const auto wcall = worker.connect(in, out);
-    ASSERT_EQ(call, wcall) << "greedy/concurrent divergence at op " << op;
-    ASSERT_EQ(call == core::GreedyRouter::kNoCall, ref.path.empty())
+    const std::uint64_t visits_before = session.stats().vertices_visited;
+    const auto call = session.connect(in, out);
+    ASSERT_EQ(call == core::Router::kNoCall, ref.path.empty())
         << "verdict differs from the full-level reference at op " << op;
-    EXPECT_LE(greedy.stats().vertices_visited - visits_before, ref.visits);
+    EXPECT_LE(session.stats().vertices_visited - visits_before, ref.visits);
     churn.ref_visits += ref.visits;
-    if (call == core::GreedyRouter::kNoCall) continue;
-    const auto path = greedy.path_of(call);
+    if (call == core::Router::kNoCall) continue;
+    const auto path = session.path_of(call);
     ASSERT_EQ(path, ref.path) << "path differs from the reference at op " << op;
-    ASSERT_EQ(worker.path_of(wcall), path);
     active.push_back(call);
     ++churn.compared;
-    churn.welded += crosses_weld(greedy, net.g, path);
+    churn.welded += crosses_weld(router, net.g, path);
   }
 }
 
-/// Both engines' books agree, down to the visit count.
-void expect_twins(const core::GreedyRouter& greedy,
-                  const core::ConcurrentRouter& conc) {
-  const auto& gs = greedy.stats();
-  EXPECT_EQ(gs.vertices_visited, conc.stats().vertices_visited);
-  EXPECT_EQ(gs.accepted, conc.stats().accepted);
-  EXPECT_EQ(gs.rejected_no_path, conc.stats().rejected_no_path);
-  EXPECT_EQ(greedy.busy_vertices(), conc.busy_vertices());
-}
-
-/// Weld-free lockstep churn with `faults` seeded open-failed switches on
-/// both engines, checked against the full-level reference_search.
+/// Weld-free churn with `faults` seeded open-failed switches, checked
+/// against the full-level reference_search.
 void expect_early_exit_matches_reference(const graph::Network& net,
                                          std::size_t faults,
                                          std::uint64_t seed,
                                          std::size_t ops) {
-  core::GreedyRouter greedy(net);
-  core::ConcurrentRouter conc(net, 1);
+  core::Router router(net, 1);
   util::Xoshiro256 rng(seed);
-  for (std::size_t k = 0; k < faults; ++k) {
-    const auto e = static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
-    greedy.fail_edge(e);
-    conc.fail_edge(e);
-  }
+  for (std::size_t k = 0; k < faults; ++k)
+    router.fail_edge(static_cast<graph::EdgeId>(rng.below(net.g.edge_count())));
   Churn churn;
-  lockstep_churn(net, greedy, conc, rng, ops,
-                 [&](std::uint32_t in, std::uint32_t out) {
-                   return reference_search(net.g, net.inputs[in],
-                                           net.outputs[out],
-                                           greedy.busy_mask(), greedy);
-                 },
-                 churn);
+  checked_churn(net, router, rng, ops,
+                [&](std::uint32_t in, std::uint32_t out) {
+                  return reference_search(net.g, net.inputs[in],
+                                          net.outputs[out], router.busy_mask(),
+                                          router);
+                },
+                churn);
   EXPECT_GT(churn.compared, ops / 4);
   // The exit skips the rest of the meeting level: ~37% fewer visits on 𝒩̂,
   // ~25% on Cantor.
-  EXPECT_LT(greedy.stats().vertices_visited, churn.ref_visits);
-  expect_twins(greedy, conc);
+  EXPECT_LT(router.stats().vertices_visited, churn.ref_visits);
+  EXPECT_EQ(router.stats().accepted, churn.active.size() +
+                                         router.stats().disconnects);
 }
 
 TEST(SearchEarlyExit, NhatSettlesFullLevelReferencePaths) {
@@ -411,43 +394,33 @@ TEST(SearchEarlyExit, CantorK7SettlesFullLevelReferencePaths) {
 // Welded path identity.
 // ---------------------------------------------------------------------------
 
-/// Seeds `welds` stuck-on and `opens` open-failed switches on both engines.
-void seed_faults(const graph::Network& net, core::GreedyRouter& greedy,
-                 core::ConcurrentRouter& conc, util::Xoshiro256& rng,
-                 std::size_t welds, std::size_t opens) {
+/// Seeds `welds` stuck-on and `opens` open-failed switches.
+void seed_faults(const graph::Network& net, core::Router& router,
+                 util::Xoshiro256& rng, std::size_t welds, std::size_t opens) {
   const auto pick = [&] {
     return static_cast<graph::EdgeId>(rng.below(net.g.edge_count()));
   };
-  for (std::size_t k = 0; k < welds; ++k) {
-    const auto e = pick();
-    greedy.contract_edge(e);
-    conc.contract_edge(e);
-  }
-  for (std::size_t k = 0; k < opens; ++k) {
-    const auto e = pick();
-    greedy.fail_edge(e);
-    conc.fail_edge(e);
-  }
+  for (std::size_t k = 0; k < welds; ++k) router.contract_edge(pick());
+  for (std::size_t k = 0; k < opens; ++k) router.fail_edge(pick());
 }
 
-/// Welded lockstep churn, checked against the full-level welded body.
-/// Returns the churn tally; the visit comparison is the caller's.
+/// Welded churn, checked against the full-level welded body. Returns the
+/// churn tally; the visit comparison is the caller's.
 Churn welded_churn(const graph::Network& net, std::size_t welds,
                    std::size_t opens, std::uint64_t seed, std::size_t ops,
-                   core::GreedyRouter& greedy, core::ConcurrentRouter& conc) {
+                   core::Router& router) {
   util::Xoshiro256 rng(seed);
-  seed_faults(net, greedy, conc, rng, welds, opens);
+  seed_faults(net, router, rng, welds, opens);
   core::detail::SearchScratch scratch;
   scratch.init(net.g.vertex_count());
   Churn churn;
-  lockstep_churn(net, greedy, conc, rng, ops,
-                 [&](std::uint32_t in, std::uint32_t out) {
-                   return welded_reference(net.g, net.inputs[in],
-                                           net.outputs[out], greedy, scratch);
-                 },
-                 churn);
+  checked_churn(net, router, rng, ops,
+                [&](std::uint32_t in, std::uint32_t out) {
+                  return welded_reference(net.g, net.inputs[in],
+                                          net.outputs[out], router, scratch);
+                },
+                churn);
   EXPECT_GT(churn.compared, ops / 4);
-  expect_twins(greedy, conc);
   return churn;
 }
 
@@ -457,16 +430,14 @@ Churn welded_churn(const graph::Network& net, std::size_t welds,
 void expect_welded_matches_reference(const graph::Network& net,
                                      std::uint64_t seed, std::size_t ops) {
   {
-    core::GreedyRouter greedy(net);
-    core::ConcurrentRouter conc(net, 1);
-    const Churn sparse = welded_churn(net, 14, 33, seed, ops, greedy, conc);
-    EXPECT_LT(greedy.stats().vertices_visited, sparse.ref_visits);
+    core::Router router(net, 1);
+    const Churn sparse = welded_churn(net, 14, 33, seed, ops, router);
+    EXPECT_LT(router.stats().vertices_visited, sparse.ref_visits);
   }
   {
-    core::GreedyRouter greedy(net);
-    core::ConcurrentRouter conc(net, 1);
-    const Churn dense = welded_churn(net, 200, 33, seed + 1, ops, greedy, conc);
-    EXPECT_LE(greedy.stats().vertices_visited, dense.ref_visits);
+    core::Router router(net, 1);
+    const Churn dense = welded_churn(net, 200, 33, seed + 1, ops, router);
+    EXPECT_LE(router.stats().vertices_visited, dense.ref_visits);
     EXPECT_GT(dense.welded, 0u);
   }
 }
@@ -482,58 +453,57 @@ TEST(SearchWeldedExit, CantorK7SettlesFullLevelWeldedPaths) {
 }
 
 TEST(SearchWeldedExit, WeldMapFollowsGrowth) {
-  // Live welds and calls ride across grow() on both engines. The weld map
-  // must be the endpoints of the carried (and later) welds in the grown id
-  // space, and every later connect must settle the full-level welded
-  // body's path on the grown router's own state.
+  // Live welds and calls ride across grow(). The weld map must be the
+  // endpoints of the carried (and later) welds in the grown id space, and
+  // every later connect must settle the full-level welded body's path on
+  // the grown router's own state.
   for (const auto relabel :
        {graph::RelabelMode::kNone, graph::RelabelMode::kLocality}) {
     SCOPED_TRACE(graph::to_string(relabel));
     const auto base = networks::build_cantor({5, 0});
     const graph::GrownNetwork grown =
         networks::grow_cantor(base, {5, 0}, {relabel});
-    core::GreedyRouter greedy(base);
-    core::ConcurrentRouter conc(base, 1);
+    core::Router router(base, 1);
     util::Xoshiro256 rng(61);
-    seed_faults(base, greedy, conc, rng, 120, 10);
+    seed_faults(base, router, rng, 120, 10);
     core::detail::SearchScratch scratch;
     scratch.init(base.g.vertex_count());
     Churn churn;
-    lockstep_churn(base, greedy, conc, rng, 300,
-                   [&](std::uint32_t in, std::uint32_t out) {
-                     return welded_reference(base.g, base.inputs[in],
-                                             base.outputs[out], greedy,
-                                             scratch);
-                   },
-                   churn);
+    checked_churn(base, router, rng, 300,
+                  [&](std::uint32_t in, std::uint32_t out) {
+                    return welded_reference(base.g, base.inputs[in],
+                                            base.outputs[out], router,
+                                            scratch);
+                  },
+                  churn);
     ASSERT_FALSE(churn.active.empty());
 
-    greedy.grow(grown.net, grown.vmap);
-    conc.grow(grown.net, grown.vmap);
+    router.grow(grown.net, grown.vmap);
     // More welds, now over the grown switch set (appended ids included).
-    seed_faults(grown.net, greedy, conc, rng, 120, 0);
+    seed_faults(grown.net, router, rng, 120, 0);
     const graph::CsrGraph& g = grown.net.g;
     std::vector<std::uint8_t> welded(g.vertex_count(), 0);
     for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-      if (!greedy.edge_contracted(e)) continue;
+      if (!router.edge_contracted(e)) continue;
       welded[g.edge(e).from] = welded[g.edge(e).to] = 1;
     }
-    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-      ASSERT_EQ(greedy.vertex_welded(v), welded[v] != 0) << "vertex " << v;
-      ASSERT_EQ(conc.vertex_welded(v), welded[v] != 0) << "vertex " << v;
-    }
+    for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+      ASSERT_EQ(router.vertex_welded(v), welded[v] != 0) << "vertex " << v;
 
     scratch.init(g.vertex_count());
     const std::size_t before = churn.welded;
-    lockstep_churn(grown.net, greedy, conc, rng, 600,
-                   [&](std::uint32_t in, std::uint32_t out) {
-                     return welded_reference(g, grown.net.inputs[in],
-                                             grown.net.outputs[out], greedy,
-                                             scratch);
-                   },
-                   churn);
+    checked_churn(grown.net, router, rng, 600,
+                  [&](std::uint32_t in, std::uint32_t out) {
+                    return welded_reference(g, grown.net.inputs[in],
+                                            grown.net.outputs[out], router,
+                                            scratch);
+                  },
+                  churn);
     EXPECT_GT(churn.welded, before);
-    expect_twins(greedy, conc);
+    std::size_t live_vertices = 0;
+    for (const auto call : churn.active)
+      live_vertices += router.worker(0).path_length(call);
+    EXPECT_EQ(router.busy_vertices(), live_vertices);
   }
 }
 
@@ -607,109 +577,109 @@ TEST(SearchWelds, StarReverseConductionWeld) {
   const auto star = build_star(256);
   const std::vector<graph::VertexId> via_weld = {star.in, star.hub, star.back,
                                                  star.join, star.out};
-  core::GreedyRouter greedy(star.net);
-  greedy.contract_edge(star.back_to_hub);
-  const auto ca = greedy.connect(0, 0);
-  ASSERT_NE(ca, core::GreedyRouter::kNoCall);
-  expect_valid_path(greedy, star.net.g, greedy.path_of(ca));
-  EXPECT_EQ(greedy.path_of(ca), via_weld);
-  greedy.disconnect(ca);
-  EXPECT_EQ(greedy.busy_vertices(), 0u);
-
-  // Same weld on the concurrent engine's worker.
-  core::ConcurrentRouter conc(star.net, 1);
-  conc.contract_edge(star.back_to_hub);
-  auto& w = conc.worker(0);
+  core::Router router(star.net, 1);
+  router.contract_edge(star.back_to_hub);
+  auto& w = router.worker(0);
   const auto cc = w.connect(0, 0);
-  ASSERT_NE(cc, core::ConcurrentRouter::kNoCall);
-  expect_valid_path(conc, star.net.g, w.path_of(cc));
+  ASSERT_NE(cc, core::Router::kNoCall);
+  expect_valid_path(router, star.net.g, w.path_of(cc));
   EXPECT_EQ(w.path_of(cc), via_weld);
   w.disconnect(cc);
-  EXPECT_EQ(conc.busy_vertices(), 0u);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TEST(SearchWelds, GreedyWeldedTraceVerdictParity) {
+TEST(SearchWelds, WeldedTraceMatchesReference) {
   // Stateless welded trace on cantor: route one pair at a time (connect,
-  // check, disconnect) with a handful of switches stuck on. Both engines
-  // run the same welded body (per-vertex weld gate, welded early exit), so
-  // verdicts and paths must agree, and every settled path must be
-  // electrically sound hop by hop.
+  // check, disconnect) with a handful of switches stuck on. Verdicts and
+  // paths must equal the full-level welded body's, and every settled path
+  // must be electrically sound hop by hop.
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter a(net);
-  core::ConcurrentRouter b(net, 1);
-  auto& wb = b.worker(0);
-  for (graph::EdgeId e = 5; e < net.g.edge_count(); e += 29) {
-    a.contract_edge(e);
-    b.contract_edge(e);
-  }
+  core::Router router(net, 1);
+  auto& w = router.worker(0);
+  for (graph::EdgeId e = 5; e < net.g.edge_count(); e += 29)
+    router.contract_edge(e);
+  core::detail::SearchScratch scratch;
+  scratch.init(net.g.vertex_count());
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(99);
   std::size_t routed = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto ca = a.connect(in, out);
-    const auto cb = wb.connect(in, out);
-    ASSERT_EQ(ca == core::GreedyRouter::kNoCall,
-              cb == core::ConcurrentRouter::kNoCall)
+    const RefResult ref = welded_reference(net.g, net.inputs[in],
+                                           net.outputs[out], router, scratch);
+    const auto c = w.connect(in, out);
+    ASSERT_EQ(c == core::Router::kNoCall, ref.path.empty())
         << "welded verdict divergence at trial " << trial;
-    if (ca == core::GreedyRouter::kNoCall) continue;
-    expect_valid_path(a, net.g, a.path_of(ca));
-    EXPECT_EQ(a.path_of(ca), wb.path_of(cb));
-    a.disconnect(ca);
-    wb.disconnect(cb);
+    if (c == core::Router::kNoCall) continue;
+    expect_valid_path(router, net.g, w.path_of(c));
+    EXPECT_EQ(w.path_of(c), ref.path);
+    w.disconnect(c);
     ++routed;
   }
   ASSERT_GT(routed, 0u);
-  EXPECT_EQ(a.busy_vertices(), 0u);
-  EXPECT_EQ(b.busy_vertices(), 0u);
+  EXPECT_EQ(router.busy_vertices(), 0u);
 }
 
-TEST(SearchOverlay, DegradedOverlayEquivalence) {
+TEST(SearchOverlay, DegradedOverlayMatchesReference) {
   // Random (not idle-pair) requests over a deterministic spread of failed
   // switches: terminal rejects, no-path rejects and accepts must all match
-  // between the engines, down to the visit counts.
+  // the full-level reference, and the books must partition the connects.
   const auto net = networks::build_cantor({4, 0});
-  core::GreedyRouter a(net);
-  core::ConcurrentRouter b(net, 1);
-  auto& wb = b.worker(0);
-  for (graph::EdgeId e = 3; e < net.g.edge_count(); e += 17) {
-    a.fail_edge(e);
-    b.fail_edge(e);
-  }
+  core::Router router(net, 1);
+  auto& w = router.worker(0);
+  for (graph::EdgeId e = 3; e < net.g.edge_count(); e += 17)
+    router.fail_edge(e);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(4711);
   std::vector<std::uint32_t> active;
-  std::size_t accepted = 0;
+  std::size_t accepted = 0, terminal = 0, no_path = 0, path_vertices = 0;
+  std::size_t disconnects = 0;
   for (std::size_t op = 0; op < 800; ++op) {
     if (!active.empty() && rng.below(4) == 0) {
       const auto idx = rng.below(active.size());
-      a.disconnect(active[idx]);
-      wb.disconnect(active[idx]);
+      w.disconnect(active[idx]);
+      ++disconnects;
       active[idx] = active.back();
       active.pop_back();
       continue;
     }
     const auto in = static_cast<std::uint32_t>(rng.below(n));
     const auto out = static_cast<std::uint32_t>(rng.below(n));
-    const auto ca = a.connect(in, out);
-    ASSERT_EQ(ca, wb.connect(in, out)) << "divergence at op " << op;
-    if (ca == core::GreedyRouter::kNoCall) continue;
-    EXPECT_EQ(a.path_of(ca), wb.path_of(ca)) << "path divergence at op " << op;
-    active.push_back(ca);
+    const bool idle = router.input_idle(in) && router.output_idle(out);
+    const RefResult ref =
+        idle ? reference_search(net.g, net.inputs[in], net.outputs[out],
+                                router.busy_mask(), router)
+             : RefResult{};
+    const auto c = w.connect(in, out);
+    if (!idle) {
+      EXPECT_EQ(c, core::Router::kNoCall) << "busy terminal at op " << op;
+      ++terminal;
+      continue;
+    }
+    ASSERT_EQ(c == core::Router::kNoCall, ref.path.empty())
+        << "divergence at op " << op;
+    if (c == core::Router::kNoCall) {
+      ++no_path;
+      continue;
+    }
+    EXPECT_EQ(w.path_of(c), ref.path) << "path divergence at op " << op;
+    path_vertices += ref.path.size();
+    active.push_back(c);
     ++accepted;
   }
   ASSERT_GT(accepted, 0u);
-  const auto& sa = a.stats();
-  const auto& sb = b.stats();
-  EXPECT_EQ(sa.connect_calls, sb.connect_calls);
-  EXPECT_EQ(sa.accepted, sb.accepted);
-  EXPECT_EQ(sa.rejected_terminal, sb.rejected_terminal);
-  EXPECT_EQ(sa.rejected_no_path, sb.rejected_no_path);
-  EXPECT_EQ(sa.disconnects, sb.disconnects);
-  EXPECT_EQ(sa.vertices_visited, sb.vertices_visited);
-  EXPECT_EQ(sa.path_vertices, sb.path_vertices);
-  EXPECT_EQ(a.busy_vertices(), b.busy_vertices());
+  ASSERT_GT(terminal, 0u);
+  const auto st = router.stats();
+  EXPECT_EQ(st.connect_calls, accepted + terminal + no_path);
+  EXPECT_EQ(st.accepted, accepted);
+  EXPECT_EQ(st.rejected_terminal, terminal);
+  EXPECT_EQ(st.rejected_no_path, no_path);
+  EXPECT_EQ(st.disconnects, disconnects);
+  EXPECT_EQ(st.path_vertices, path_vertices);
+  std::size_t live = 0;
+  for (const auto c : active) live += w.path_length(c);
+  EXPECT_EQ(router.busy_vertices(), live);
 }
 
 }  // namespace

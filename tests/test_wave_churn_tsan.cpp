@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "ftcs/concurrent_router.hpp"
 #include "ftcs/router.hpp"
 #include "networks/cantor.hpp"
 #include "util/prng.hpp"
@@ -42,23 +41,24 @@ TEST(ConnectChurn, FlipsRacingConnectsKeepClaimInvariants) {
   constexpr unsigned kWorkers = 4;
   constexpr std::size_t kWindows = 250;
   constexpr std::size_t kWindow = 8;
-  core::ConcurrentRouter router(net, kWorkers);
+  core::Router router(net, kWorkers);
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
 
   // Disjoint flip sets off a probe's paths: first hops flip open/repaired,
   // second hops flip welded/un-welded.
   std::vector<graph::EdgeId> doomed, welded;
   {
-    core::GreedyRouter probe(net);
+    core::Router probe(net, 1);
+    auto& probe_s = probe.worker(0);
     for (std::uint32_t i = 0; i + 1 < n; i += 2) {
-      const auto c = probe.connect(i, i + 1);
-      if (c == core::GreedyRouter::kNoCall) continue;
-      const auto path = probe.path_of(c);
+      const auto c = probe_s.connect(i, i + 1);
+      if (c == core::Router::kNoCall) continue;
+      const auto path = probe_s.path_of(c);
       if (path.size() >= 3) {
         doomed.push_back(edge_between(net.g, path[0], path[1]));
         welded.push_back(edge_between(net.g, path[1], path[2]));
       }
-      probe.disconnect(c);
+      probe_s.disconnect(c);
     }
   }
   ASSERT_FALSE(doomed.empty());
@@ -71,13 +71,13 @@ TEST(ConnectChurn, FlipsRacingConnectsKeepClaimInvariants) {
     threads.emplace_back([&, t] {
       auto& w = router.worker(t);
       util::Xoshiro256 rng(util::derive_seed(1291, t));
-      std::vector<core::ConcurrentRouter::CallId> mine;
+      std::vector<core::Router::CallId> mine;
       for (std::size_t window = 0; window < kWindows; ++window) {
         for (std::size_t k = 0; k < kWindow; ++k) {
           const auto in = static_cast<std::uint32_t>(rng.below(n));
           const auto out = static_cast<std::uint32_t>(rng.below(n));
           const auto call = w.connect(in, out);
-          if (call == core::ConcurrentRouter::kNoCall) continue;
+          if (call == core::Router::kNoCall) continue;
           EXPECT_EQ(w.path_of(call).size(), w.path_length(call));
           mine.push_back(call);
         }
