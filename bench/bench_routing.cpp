@@ -14,9 +14,9 @@
 // fail/repair events, eps swept in decades). BM_RouterConnect vs
 // BM_ExchangeCall isolates the facade's handle + classification overhead
 // over the raw router. The locality plane gets its own A/B series: the
-// relabel pair (builder-order vs finalize(kLocality) ids, same churn) and
-// the affinity sweep (drain pool pinned none/spread/compact with homed
-// sessions). --grow records the hitless-growth series: churn calls/sec
+// relabel pair (builder-order vs finalize(kLocality) ids, same churn).
+// --policy=static records the fixed admission window under a bursty fault
+// storm. --grow records the hitless-growth series: churn calls/sec
 // before/during/after doubling the exchange live, with the merge's quiesce
 // pause and a measured (must-be-zero) kill count. --repeat=K records the
 // median-of-K run per point and stamps "repeats" into the JSON so the
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "util/cpu_topology.hpp"
 
 #include "bench_common.hpp"
 #include "fault/fault_instance.hpp"
@@ -48,7 +47,6 @@
 #include "ftcs/verify.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
-#include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
@@ -444,9 +442,6 @@ struct BatchedPoint {
   double seconds = 0.0;
   core::RouterStats stats;
   std::uint64_t deferred = 0, refused = 0, epochs = 0;
-  // What the affinity request degraded to on this host (kNone unless the
-  // point asked for pinning and the plan fit the box).
-  util::AffinityPolicy effective = util::AffinityPolicy::kNone;
   [[nodiscard]] double calls_per_sec() const {
     return seconds > 0 ? static_cast<double>(connects) / seconds : 0.0;
   }
@@ -457,15 +452,10 @@ struct BatchedPoint {
   }
 };
 
-BatchedPoint batched_churn(
-    const graph::Network& net, unsigned sessions, std::size_t batch,
-    std::size_t total_ops,
-    util::AffinityPolicy affinity = util::AffinityPolicy::kNone,
-    bool home_sessions = false) {
+BatchedPoint batched_churn(const graph::Network& net, unsigned sessions,
+                           std::size_t batch, std::size_t total_ops) {
   svc::ExchangeConfig cfg;
   cfg.sessions = sessions;
-  cfg.affinity = affinity;
-  cfg.home_sessions = home_sessions;
   svc::Exchange exchange(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
   util::Xoshiro256 rng(util::derive_seed(33, batch));
@@ -518,7 +508,6 @@ BatchedPoint batched_churn(
   p.deferred = st.deferred;
   p.refused = st.refused;
   p.epochs = st.epochs;
-  p.effective = exchange.affinity();
   return p;
 }
 
@@ -654,20 +643,16 @@ std::vector<DegradedPoint> degraded_series(const graph::Network& net,
 }
 
 // ---------------------------------------------------------------------------
-// --policy=overlay admission A/B: the SAME bursty fault storm served twice
-// through the batched plane — once behind a static FixedWindowAdmission,
-// once behind the overlay-aware decorator over the same window. One drain()
-// per tick (not drain_all): the overlay policy's whole mechanism is leaving
-// the surplus queued while the topology is degraded, so the series must let
-// a backlog exist. Repairs lag failures (mean repair = a third of the run),
-// the tail sweep-repairs whatever the schedule left down, and both runs
-// then drain their backlog to empty — every submitted request gets routed
-// or rejected under BOTH policies, so the reject books are comparable.
+// --policy=static admission series: a bursty fault storm served through
+// the batched plane behind a fixed epoch window. One drain() per tick (not
+// drain_all), so a backlog can build while the topology is degraded.
+// Repairs lag failures (mean repair = a third of the run), the tail
+// sweep-repairs whatever the schedule left down, and the run then drains
+// its backlog to empty — every submitted request gets routed or rejected.
 // "Hard" rejects = no-path + refused: the requests the exchange burned into
-// dead topology (or bounced), versus deferring them to post-repair epochs.
+// dead topology (or bounced).
 
 struct PolicyPoint {
-  const char* policy = "static";
   std::size_t connects = 0;
   double seconds = 0.0;
   core::RouterStats stats;
@@ -687,22 +672,19 @@ struct PolicyPoint {
 };
 
 PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
-                         bool overlay, double eps, std::size_t ticks,
+                         double eps, std::size_t ticks,
                          std::size_t arrivals_per_tick, std::size_t window) {
   svc::ExchangeConfig cfg;
   cfg.sessions = sessions;
-  if (overlay)
-    cfg.admission = std::make_unique<svc::OverlayAdaptiveAdmission>(window);
-  else
-    cfg.admission = std::make_unique<svc::FixedWindowAdmission>(window);
+  cfg.epoch_window = window;
   svc::Exchange exchange(net, std::move(cfg));
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
-  util::Xoshiro256 rng(util::derive_seed(91, overlay ? 1 : 0));
+  util::Xoshiro256 rng(util::derive_seed(91, 0));
 
   // Bursty storm: hazards run for the whole horizon but crews take a third
   // of the run per fix, so damage accumulates mid-run and clears late.
-  // Open failures only — the A/B is about admission into DEAD topology, and
-  // stuck-on welds never block a search.
+  // Open failures only — the series is about admission into DEAD topology,
+  // and stuck-on welds never block a search.
   const auto schedule = fault::FaultSchedule::from_model(
       fault::FaultModel{eps, 0.0}, net.g.edge_count(),
       /*horizon=*/static_cast<double>(ticks),
@@ -747,7 +729,7 @@ PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
   }
   // The crews finish: sweep-repair every switch (repairing a healthy one is
   // a no-op), then serve the deferred backlog to empty. The storm's damage
-  // is gone, so whatever a policy queued instead of burning now routes.
+  // is gone, so whatever stayed queued now routes.
   for (graph::EdgeId e = 0; e < net.g.edge_count(); ++e)
     exchange.repair({static_cast<double>(ticks) + 1.0, e,
                      fault::FaultEvent::Kind::kRepair});
@@ -761,7 +743,6 @@ PolicyPoint policy_churn(const graph::Network& net, unsigned sessions,
 
   const svc::ExchangeStats st = exchange.stats();
   PolicyPoint p;
-  p.policy = overlay ? "overlay" : "static";
   p.connects = static_cast<std::size_t>(st.admitted);
   p.seconds = dt;
   p.stats = st.router;
@@ -798,7 +779,7 @@ std::string reject_key(svc::RejectReason reason, std::uint64_t count) {
 
 int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_series,
                    std::size_t max_batch, double max_faults,
-                   std::size_t repeats, bool policy_overlay) {
+                   std::size_t repeats, bool policy_static) {
   std::vector<ChurnMeasure> rows;
   rows.push_back(median_of(repeats, [&] {
     return churn_workload("cantor-k5", networks::build_cantor({5, 0}),
@@ -982,56 +963,39 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
     out << "  ]},\n";
   }
 
-  // Admission-policy A/B: the bursty storm served behind the static window
-  // and behind the overlay-aware decorator. The acceptance metric is
-  // hard_rejects (no-path + refused): the overlay point defers work while
-  // switches are down and routes it post-repair instead of burning it.
+  // Admission-policy series: the bursty storm served behind the fixed
+  // window. The acceptance metric is hard_rejects (no-path + refused).
   // The network is deliberately diversity-poor — a crossbar has exactly one
   // switch per terminal pair, so a dead switch IS a no-path for its pair
   // until the crew arrives; on the paper's FT networks the storm would have
-  // to sever a terminal entirely before static admission burns a request.
-  if (policy_overlay && max_threads >= 1) {
+  // to sever a terminal entirely before a request burns.
+  if (policy_static && max_threads >= 1) {
     const auto net = networks::build_crossbar(32);
     const double eps = max_faults > 0 ? max_faults : 1e-3;
     const std::size_t ticks = 240, arrivals = 16, window = 64;
-    std::vector<PolicyPoint> pts;
-    for (const bool overlay : {false, true})
-      pts.push_back(median_of(repeats, [&] {
-        return policy_churn(net, max_threads, overlay, eps, ticks, arrivals,
-                            window);
-      }));
-    const auto& st = pts[0];
-    const auto& ov = pts[1];
+    const PolicyPoint p = median_of(repeats, [&] {
+      return policy_churn(net, max_threads, eps, ticks, arrivals, window);
+    });
     out << "  \"admission_policy\": {\"network\": \"crossbar-32\", \"sessions\": "
         << max_threads << ", \"eps\": " << eps << ", \"window\": " << window
         << ", \"ticks\": " << ticks << ", \"arrivals_per_tick\": " << arrivals
         << ", \"points\": [\n";
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const auto& p = pts[i];
-      out << "    {\"policy\": \"" << p.policy << "\", \"connects\": "
-          << p.connects << ", \"calls_per_sec\": "
-          << static_cast<std::uint64_t>(p.calls_per_sec())
-          << ", \"visits_per_connect\": " << p.visits_per_connect()
-          << ", \"hard_rejects\": " << p.hard_rejects() << ", "
-          << reject_key(svc::RejectReason::kNoPath, p.stats.rejected_no_path)
-          << ", \"refused\": " << p.refused << ", \"deferred\": " << p.deferred
-          << ", \"epochs\": " << p.epochs << ", \"faults_injected\": "
-          << p.injected << ", \"stuck_injected\": " << p.stuck
-          << ", \"calls_killed_by_fault\": " << p.killed << "}"
-          << (i + 1 < pts.size() ? "," : "") << "\n";
-      std::cout << "admission policy crossbar-32 " << p.policy << ": "
-                << p.hard_rejects() << " hard rejects ("
-                << p.stats.rejected_no_path << " no-path, " << p.refused
-                << " refused), " << p.deferred << " deferrals, "
-                << static_cast<std::uint64_t>(p.calls_per_sec())
-                << " calls/sec\n";
-    }
-    out << "  ], \"overlay_hard_reject_ratio\": "
-        << (st.hard_rejects() > 0
-                ? static_cast<double>(ov.hard_rejects()) /
-                      static_cast<double>(st.hard_rejects())
-                : 1.0)
-        << "},\n";
+    out << "    {\"policy\": \"static\", \"connects\": " << p.connects
+        << ", \"calls_per_sec\": "
+        << static_cast<std::uint64_t>(p.calls_per_sec())
+        << ", \"visits_per_connect\": " << p.visits_per_connect()
+        << ", \"hard_rejects\": " << p.hard_rejects() << ", "
+        << reject_key(svc::RejectReason::kNoPath, p.stats.rejected_no_path)
+        << ", \"refused\": " << p.refused << ", \"deferred\": " << p.deferred
+        << ", \"epochs\": " << p.epochs << ", \"faults_injected\": "
+        << p.injected << ", \"stuck_injected\": " << p.stuck
+        << ", \"calls_killed_by_fault\": " << p.killed << "}\n";
+    out << "  ]},\n";
+    std::cout << "admission policy crossbar-32 static: " << p.hard_rejects()
+              << " hard rejects (" << p.stats.rejected_no_path << " no-path, "
+              << p.refused << " refused), " << p.deferred << " deferrals, "
+              << static_cast<std::uint64_t>(p.calls_per_sec())
+              << " calls/sec\n";
   }
 
   // Locality-relabel A/B: the same churn on the builder-order network and
@@ -1083,57 +1047,6 @@ int run_json_smoke(const std::string& path, unsigned max_threads, bool grow_seri
                         : 0.0)
                 << ", visits/connect " << rl[i].m.visits_per_connect()
                 << " vs " << rl[i + 1].m.visits_per_connect() << ")\n";
-  }
-
-  // Affinity A/B: the batched churn with the drain pool pinned under
-  // each policy (sessions homed to terminal ranges so a pinned worker's CAS
-  // traffic stays in its own cache domain). The REQUESTED policy keys the
-  // series so baselines recorded on different hosts still line up; the
-  // EFFECTIVE policy records what the host actually honored (small boxes
-  // degrade every request to "none" — then the three points are an honest
-  // noise floor).
-  if (max_threads >= 1) {
-    const auto net = networks::build_cantor({5, 0});
-    struct AffinityRow {
-      util::AffinityPolicy policy;
-      BatchedPoint p;
-    };
-    std::vector<AffinityRow> rows_a;
-    for (const auto pol :
-         {util::AffinityPolicy::kNone, util::AffinityPolicy::kSpread,
-          util::AffinityPolicy::kCompact}) {
-      rows_a.push_back({pol, median_of(repeats, [&] {
-                          return batched_churn(net, max_threads, 256,
-                                               bench::scaled(100'000), pol,
-                                               /*home_sessions=*/true);
-                        })});
-      // Pinning is process-wide pool state: reset between points so each
-      // request is applied against an unpinned pool.
-      util::ThreadPool::global().apply_affinity(util::AffinityPolicy::kNone);
-    }
-    out << "  \"affinity_scaling\": {\"network\": \"cantor-k5\", \"sessions\": "
-        << max_threads << ", \"batch\": 256, \"home_sessions\": true, "
-        << "\"points\": [\n";
-    for (std::size_t i = 0; i < rows_a.size(); ++i) {
-      const auto& r = rows_a[i];
-      out << "    {\"policy\": \"" << util::to_string(r.policy)
-          << "\", \"effective\": \"" << util::to_string(r.p.effective)
-          << "\", \"connects\": " << r.p.connects << ", \"calls_per_sec\": "
-          << static_cast<std::uint64_t>(r.p.calls_per_sec())
-          << ", \"visits_per_connect\": " << r.p.visits_per_connect()
-          << ", \"claim_conflicts\": " << r.p.stats.claim_conflicts << ", "
-          << reject_key(svc::RejectReason::kContention,
-                        r.p.stats.rejected_contention)
-          << "}" << (i + 1 < rows_a.size() ? "," : "") << "\n";
-      std::cout << "affinity churn cantor-k5 policy="
-                << util::to_string(r.policy) << " (effective "
-                << util::to_string(r.p.effective) << ") x" << max_threads
-                << " sessions: "
-                << static_cast<std::uint64_t>(r.p.calls_per_sec())
-                << " calls/sec (conflicts " << r.p.stats.claim_conflicts
-                << ")\n";
-    }
-    out << "  ]},\n";
   }
 
   // Hitless-growth series (--grow): calls/sec before/during/after doubling
@@ -1190,7 +1103,7 @@ int main(int argc, char** argv) {
   std::size_t max_batch = 0;  // 0 = no batched-admission series
   double max_faults = 0.0;    // 0 = no degraded-mode series
   std::size_t repeats = 1;    // --repeat=K: median-of-K per recorded point
-  bool policy_overlay = false;  // --policy=overlay: admission A/B series
+  bool policy_static = false;   // --policy=static: admission series
   bool grow_series = false;     // --grow: hitless-growth series
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1211,20 +1124,20 @@ int main(int argc, char** argv) {
       const long v = std::strtol(arg.c_str() + 9, nullptr, 10);
       if (v >= 1) repeats = static_cast<std::size_t>(v);
     }
-    if (arg == "--policy=overlay") policy_overlay = true;
+    if (arg == "--policy=static") policy_static = true;
     if (arg == "--grow") grow_series = true;
   }
   // --threads / --batch / --faults / --policy / --grow without --json still
   // record to the default path.
-  if ((max_threads > 0 || max_batch > 0 || max_faults > 0 || policy_overlay ||
+  if ((max_threads > 0 || max_batch > 0 || max_faults > 0 || policy_static ||
        grow_series) &&
       json_path.empty())
     json_path = "BENCH_routing.json";
-  if ((max_batch > 0 || max_faults > 0 || policy_overlay) && max_threads == 0)
+  if ((max_batch > 0 || max_faults > 0 || policy_static) && max_threads == 0)
     max_threads = 8;
   if (!json_path.empty())
     return run_json_smoke(json_path, max_threads, grow_series, max_batch,
-                          max_faults, repeats, policy_overlay);
+                          max_faults, repeats, policy_static);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   print_success_table();

@@ -169,6 +169,9 @@ void print_ack(const ftcs::ops::Ack& a) {
     case ops::AckStatus::kOk: break;
     case ops::AckStatus::kNoop: line << " noop"; break;
     case ops::AckStatus::kUnsupported: line << " unsupported"; break;
+    case ops::AckStatus::kBadTarget:
+      line << " bad_target (" << a.text << ")";
+      break;
   }
   switch (a.kind) {
     case ops::CommandKind::kInject:

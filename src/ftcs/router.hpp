@@ -113,7 +113,6 @@
 #include "graph/digraph.hpp"
 #include "util/atomic_bitset.hpp"
 #include "util/bitset.hpp"
-#include "util/cpu_topology.hpp"
 
 namespace ftcs::core {
 
@@ -194,10 +193,9 @@ class Router {
   /// statically unusable vertices (e.g. faulty) and `blocked_edges`
   /// statically unusable switches; either may be empty. The network must
   /// outlive the router; GLOBAL scratch is allocated here, once. Per-worker
-  /// scratch is built lazily on the worker's FIRST connect — on the thread
-  /// that owns the session — so with a pinned thread pool the scratch pages
-  /// first-touch onto the owning worker's NUMA node instead of the
-  /// constructing thread's.
+  /// scratch is built lazily on the worker's FIRST connect, so its pages
+  /// first-touch on the thread that owns the session instead of the
+  /// constructing thread.
   Router(const graph::Network& net, unsigned workers,
          std::vector<std::uint8_t> blocked = {},
          std::vector<std::uint8_t> blocked_edges = {});

@@ -79,6 +79,8 @@ enum class AckStatus : std::uint8_t {
   kNoop,         // idempotent fault op found the switch already in state
   kUnsupported,  // the plane cannot run this verb here (trunk verbs on a
                  // single exchange, growth without a plan, federated growth)
+  kBadTarget,    // the command named a shard, switch, trunk group or line
+                 // out of range; nothing was touched (Ack::text says which)
 };
 
 /// One typed ack per command, delivered at the epoch boundary that executed
@@ -115,8 +117,9 @@ struct Ack {
   // kGrow: the applied (or rejected) growth — switches/ports added, calls
   // remapped, calls killed (always 0), quiesce wall time.
   std::optional<svc::GrowthReport> growth;
-  // kSnapshot (serialized metrics) and kGrow (human-readable summary or
-  // rejection reason):
+  // kSnapshot (serialized metrics), kGrow (human-readable summary or
+  // rejection reason) and kBadTarget acks (which coordinate was out of
+  // range):
   std::string text;
 };
 

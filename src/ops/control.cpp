@@ -28,6 +28,17 @@ std::optional<svc::GrowthPlan> plan_cantor_doubling(const svc::Exchange& ex) {
   return plan;
 }
 
+/// Acks a command whose target coordinate is out of range; nothing ran.
+void bad_target(Ack& a, const char* what, std::uint64_t value,
+                std::uint64_t limit) {
+  a.status = AckStatus::kBadTarget;
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "%s %" PRIu64 " out of range (have %" PRIu64 ")", what, value,
+                limit);
+  a.text = buf;
+}
+
 }  // namespace
 
 void ControlPlane::fill_gauges(Ack& a) const {
@@ -60,9 +71,17 @@ Ack ControlPlane::execute(const Command& cmd) {
         // Federated fault op: Command::arg names the target shard; the
         // ack carries the member-level impact plus the reconciliation
         // counters (adopted/torn-down halves ride the reroute tallies).
-        const unsigned shard =
-            cmd.arg < fed_->shards() ? static_cast<unsigned>(cmd.arg) : 0;
+        if (cmd.arg >= fed_->shards()) {
+          bad_target(a, "shard", cmd.arg, fed_->shards());
+          break;
+        }
+        const auto shard = static_cast<unsigned>(cmd.arg);
         svc::Exchange& m = fed_->member(shard);
+        const std::size_t switches = m.network().g.edge_count();
+        if (cmd.event.edge >= switches) {
+          bad_target(a, "switch", cmd.event.edge, switches);
+          break;
+        }
         const std::size_t down_before = m.failed_switch_count();
         svc::FedFaultImpact impact = cmd.kind == CommandKind::kInject
                                          ? fed_->inject(shard, cmd.event)
@@ -77,6 +96,11 @@ Ack ControlPlane::execute(const Command& cmd) {
         a.killed = std::move(impact.member.killed);
         a.reroutes = std::move(impact.member.reroutes);
         a.alarm = impact.member.alarm;
+        break;
+      }
+      const std::size_t switches = ex_->network().g.edge_count();
+      if (cmd.event.edge >= switches) {
+        bad_target(a, "switch", cmd.event.edge, switches);
         break;
       }
       const std::size_t down_before = ex_->failed_switch_count();
@@ -174,7 +198,16 @@ Ack ControlPlane::execute(const Command& cmd) {
         a.text = "trunk commands need a federated control plane";
         break;
       }
+      if (cmd.arg >= fed_->trunk_group_count()) {
+        bad_target(a, "trunk group", cmd.arg, fed_->trunk_group_count());
+        break;
+      }
       const auto group = static_cast<std::uint32_t>(cmd.arg);
+      const std::uint32_t lines = fed_->trunk_group(group).capacity();
+      if (cmd.arg2 >= lines) {
+        bad_target(a, "trunk line", cmd.arg2, lines);
+        break;
+      }
       const auto line = static_cast<std::uint32_t>(cmd.arg2);
       const svc::TrunkFaultImpact imp = cmd.kind == CommandKind::kTrunkFault
                                             ? fed_->fail_trunk(group, line)

@@ -47,20 +47,12 @@ Exchange::Exchange(const graph::Network* net,
       router_(std::make_unique<core::Router>(
           *net_, cfg.backend == Backend::kGreedy ? 1 : cfg.sessions,
           std::move(cfg.blocked), std::move(cfg.blocked_edges))),
-      admission_(cfg.admission ? std::move(cfg.admission)
-                               : std::make_unique<UnboundedAdmission>()),
-      home_sessions_(cfg.home_sessions),
+      epoch_window_(cfg.epoch_window),
+      max_queue_(cfg.max_queue),
       qos_immediate_(cfg.qos_immediate),
       class_deadlines_(cfg.class_deadlines),
       id_(next_exchange_id.fetch_add(1, std::memory_order_relaxed)),
-      sessions_(router_->worker_count()) {
-  // Pin the drain pool up front: every worker has re-pinned by the time
-  // apply_affinity returns, so the first drain's lazily built session
-  // scratch already first-touches on the pinned cpus. apply_affinity
-  // reports the post-degrade policy (kNone on hosts that cannot honor it).
-  if (cfg.affinity != util::AffinityPolicy::kNone)
-    affinity_ = util::ThreadPool::global().apply_affinity(cfg.affinity);
-}
+      sessions_(router_->worker_count()) {}
 
 // ------------------------------------------------------------------ handles
 
@@ -217,8 +209,7 @@ Ticket Exchange::submit_impl(const CallRequest& req, CompletionFn done) {
     std::lock_guard<std::mutex> lk(front_mu_);
     ticket = next_ticket_++;
     ++submitted_;
-    const std::size_t cap = admission_->max_queue_depth();
-    if (cap > 0 && queue_.size() >= cap) {
+    if (max_queue_ > 0 && queue_.size() >= max_queue_) {
       refused = true;
       ++refused_;
       ++completed_count_;
@@ -295,23 +286,7 @@ std::size_t Exchange::drain() {
   {
     std::lock_guard<std::mutex> lk(front_mu_);
     if (queue_.empty()) return 0;
-    EpochFeedback fb;
-    fb.epoch = epochs_;
-    fb.queued = queue_.size();
-    fb.sessions = sessions_.size();
-    fb.admitted_last = last_admitted_;
-    fb.claim_conflicts_last = last_conflicts_;
-    fb.rejected_contention_last = last_contention_;
-    fb.last_epoch_seconds = last_epoch_seconds_;
-    // Fault-plane health for overlay-aware policies. Same threading domain
-    // as inject()/repair() (both live in drain()'s contract), so the plain
-    // reads are safe.
-    fb.failed_switches = failed_switch_count_;
-    fb.stuck_switches = stuck_switch_count_;
-    fb.overlay_conflicts_last = last_overlay_;
-    const std::size_t window = admission_->epoch_window(fb);
-    if (window == 0) return 0;
-    batch = take_window(window);
+    batch = take_window(epoch_window_ > 0 ? epoch_window_ : queue_.size());
     ++epochs_;
     admitted_ += batch.size();
     // Everyone still queued waits (at least) one more epoch: Deferred.
@@ -319,44 +294,15 @@ std::size_t Exchange::drain() {
     for (auto& p : queue_) ++p.deferrals;
   }
 
-  const core::RouterStats before = router_->stats();
-  const auto t0 = std::chrono::steady_clock::now();
   const std::size_t m = batch.size();
   const auto s_count = static_cast<unsigned>(sessions_.size());
   std::vector<Outcome> outs(m);
-  // Partition the window across sessions: session s routes the batch
-  // indices in order[start[s], start[s+1]). Default is the deterministic
-  // contiguous split by arrival index ([m*s/S, m*(s+1)/S)); with
-  // home_sessions each request instead goes to the session owning its
-  // INPUT terminal's range, so one session's claim CASes land in its own
-  // slice of the terminal bitsets (its own cache domain once the pool is
-  // pinned). The grouping sort is stable, so FIFO order within a session
-  // is preserved. Either way each pool task owns exactly one session —
-  // the per-session handle shards stay single-threaded and callbacks for
-  // a request fire from the task that routed it.
-  std::vector<std::uint32_t> order(m);
-  std::vector<std::size_t> start(s_count + 1, 0);
-  if (home_sessions_ && s_count > 1) {
-    const std::size_t n_in = net_->inputs.size();
-    // An out-of-range input is clamped to the last session, whose
-    // route_one rejects it.
-    const auto home = [&](std::uint32_t input) {
-      const std::size_t s = static_cast<std::size_t>(input) * s_count / n_in;
-      return static_cast<unsigned>(std::min<std::size_t>(s, s_count - 1));
-    };
-    for (std::size_t i = 0; i < m; ++i) ++start[home(batch[i].req.input) + 1];
-    for (unsigned s = 0; s < s_count; ++s) start[s + 1] += start[s];
-    std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
-    for (std::size_t i = 0; i < m; ++i)
-      order[cursor[home(batch[i].req.input)]++] =
-          static_cast<std::uint32_t>(i);
-  } else {
-    std::iota(order.begin(), order.end(), 0u);
-    for (unsigned s = 0; s <= s_count; ++s) start[s] = m * s / s_count;
-  }
+  // Session s routes the contiguous arrival-index chunk [m*s/S, m*(s+1)/S)
+  // in order. Each pool task owns exactly one session, so the per-session
+  // handle shards stay single-threaded and callbacks for a request fire
+  // from the task that routed it.
   const auto route_chunk = [&](unsigned s) {
-    for (std::size_t k = start[s]; k < start[s + 1]; ++k) {
-      const std::size_t i = order[k];
+    for (std::size_t i = m * s / s_count; i < m * (s + 1) / s_count; ++i) {
       outs[i] = route_one(batch[i].req, s, batch[i].deferrals);
       if (batch[i].done) batch[i].done(outs[i]);
     }
@@ -369,9 +315,7 @@ std::size_t Exchange::drain() {
           route_chunk(static_cast<unsigned>(s));
         });
   }
-  const core::RouterStats after = router_->stats();
   const auto t1 = std::chrono::steady_clock::now();
-  const double epoch_seconds = std::chrono::duration<double>(t1 - t0).count();
 
   {
     std::lock_guard<std::mutex> lk(front_mu_);
@@ -384,11 +328,6 @@ std::size_t Exchange::drain() {
           std::chrono::duration<double>(t1 - batch[i].submitted_at).count());
     }
     completed_count_ += m;
-    last_admitted_ = m;
-    last_conflicts_ = after.claim_conflicts - before.claim_conflicts;
-    last_contention_ = after.rejected_contention - before.rejected_contention;
-    last_overlay_ = after.overlay_conflicts - before.overlay_conflicts;
-    last_epoch_seconds_ = epoch_seconds;
   }
   return m;
 }
@@ -397,7 +336,7 @@ std::size_t Exchange::drain_all() {
   std::size_t total = 0;
   for (;;) {
     const std::size_t n = drain();
-    if (n == 0) return total;  // queue empty, or a zero-window policy
+    if (n == 0) return total;
     total += n;
   }
 }
@@ -502,36 +441,18 @@ void Exchange::reroute_victims(FaultImpact& impact) {
   // Immediate re-admission of the victims through the batched plane. Their
   // terminals are free again (the kill released them); whether a detour
   // exists is the router's verdict. Anything already queued rides along.
-  // Every victim RESOLVES within this call: if the policy refuses to drain
-  // (zero window), the leftover victim submissions are cancelled and
-  // reported kRefused — nothing fires after this frame returns. The
+  // Every victim RESOLVES within this call: a victim that meets the queue
+  // cap is refused on the spot, and drain_all() empties the queue. The
   // completion buffer is shared-owned anyway, as defense in depth.
   if (impact.killed.empty()) return;
   auto reroutes = std::make_shared<std::vector<Outcome>>(impact.killed.size());
-  std::vector<Ticket> tickets;
-  tickets.reserve(impact.killed.size());
   for (std::size_t i = 0; i < impact.killed.size(); ++i) {
     const CallRequest& req =
         sessions_[impact.killed[i].session].slots[impact.killed[i].id.slot_]
             .req;
-    (*reroutes)[i].reject = RejectReason::kRefused;
-    (*reroutes)[i].tag = req.tag;
-    tickets.push_back(
-        submit(req, [reroutes, i](const Outcome& o) { (*reroutes)[i] = o; }));
+    submit(req, [reroutes, i](const Outcome& o) { (*reroutes)[i] = o; });
   }
   drain_all();
-  {
-    // Cancel victims a zero-window policy left queued (their sentinel
-    // outcome above stays kRefused).
-    std::lock_guard<std::mutex> lk(front_mu_);
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (std::find(tickets.begin(), tickets.end(), it->ticket) !=
-          tickets.end())
-        it = queue_.erase(it);
-      else
-        ++it;
-    }
-  }
   impact.reroutes = *reroutes;
   for (const Outcome& o : impact.reroutes) {
     if (o.connected())
@@ -543,9 +464,16 @@ void Exchange::reroute_victims(FaultImpact& impact) {
   reroute_failed_ += impact.reroute_failed;
 }
 
+bool Exchange::switch_in_range(graph::EdgeId e) {
+  if (e < net_->g.edge_count()) return true;
+  handle_errors_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
 FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
   FaultImpact impact;
   impact.event = ev;
+  if (!switch_in_range(ev.edge)) return impact;
   ensure_fault_state();
   if (failed_switches_.test(ev.edge) || stuck_switches_.test(ev.edge))
     return impact;  // already down (in either failure mode)
@@ -605,6 +533,7 @@ FaultImpact Exchange::inject(const fault::FaultEvent& ev) {
 FaultImpact Exchange::repair(const fault::FaultEvent& ev) {
   FaultImpact impact;
   impact.event = ev;
+  if (!switch_in_range(ev.edge)) return impact;
   ensure_fault_state();
 
   if (stuck_switches_.test(ev.edge)) {
@@ -818,9 +747,6 @@ void Exchange::reset_stats() {
   std::lock_guard<std::mutex> lk(front_mu_);
   submitted_ = admitted_ = completed_count_ = deferred_ = refused_ = 0;
   epochs_ = queue_high_water_ = 0;
-  last_admitted_ = 0;
-  last_conflicts_ = last_contention_ = last_overlay_ = 0;
-  last_epoch_seconds_ = 0.0;
   batched_classes_ = {};
   for (Session& s : sessions_) {
     s.hangups = 0;

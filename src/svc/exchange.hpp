@@ -15,13 +15,13 @@
 //     returns the Outcome; hangup(id) releases. This is the low-latency,
 //     event-driven plane (the traffic simulation lives here).
 //   - BATCHED:   submit(req[, callback]) enqueues; drain() runs one
-//     admission epoch — the AdmissionPolicy picks a window, the highest-
-//     priority window of queued requests is routed across ALL router
-//     sessions in parallel on util::ThreadPool::global(), and completions
-//     are delivered through the callback (on the pool threads) or a
-//     pollable Ticket. Requests beyond the window stay queued (Deferred,
-//     counted per epoch and surfaced in Outcome::deferrals); submissions
-//     beyond the policy's queue cap bounce immediately (Refused).
+//     admission epoch — the highest-priority min(epoch_window, queued)
+//     requests are routed across ALL router sessions in parallel on
+//     util::ThreadPool::global(), and completions are delivered through the
+//     callback (on the pool threads) or a pollable Ticket. Requests beyond
+//     the window stay queued (Deferred, counted per epoch and surfaced in
+//     Outcome::deferrals); submissions beyond max_queue bounce immediately
+//     (Refused).
 //     Each session routes its chunk of the window one request at a time,
 //     in window order, through the same per-request path as call().
 //
@@ -52,10 +52,8 @@
 #include "fault/weld_components.hpp"
 #include "ftcs/router.hpp"
 #include "ops/latency.hpp"
-#include "svc/admission.hpp"
 #include "svc/call.hpp"
 #include "util/bitset.hpp"
-#include "util/cpu_topology.hpp"
 
 namespace ftcs::svc {
 
@@ -75,7 +73,7 @@ struct ExchangeStats {
   std::uint64_t hangups = 0;          // successful hangups (both planes)
   std::uint64_t handle_errors = 0;    // misuse detected: stale/foreign/double
                                       // hangups, bad-session calls and
-                                      // out-of-range terminal indices
+                                      // out-of-range terminal or switch ids
   // Fault-plane counters (inject()/repair()):
   std::uint64_t faults_injected = 0;       // open switch failures applied
   std::uint64_t faults_stuck = 0;          // stuck-on (closed) failures applied
@@ -242,22 +240,11 @@ struct ExchangeConfig {
   /// Static fault masks, owned by the Exchange (as in the router).
   std::vector<std::uint8_t> blocked;
   std::vector<std::uint8_t> blocked_edges;
-  /// Batched-plane policy; null = UnboundedAdmission.
-  std::unique_ptr<AdmissionPolicy> admission;
-  /// Worker-pinning policy applied to util::ThreadPool::global() at
-  /// construction (the pool that drain() routes on). kNone leaves the pool
-  /// untouched; kSpread/kCompact pin its workers (see util/cpu_topology.hpp)
-  /// and auto-degrade back to kNone when the host cannot honor the plan
-  /// (fewer physical cores than pool workers — the CI case). NOTE: the
-  /// global pool is process-wide state; the last Exchange to set a non-None
-  /// policy wins.
-  util::AffinityPolicy affinity = util::AffinityPolicy::kNone;
-  /// Batched plane: partition each drain() window by the request's INPUT
-  /// terminal (session s owns inputs [n*s/S, n*(s+1)/S)) instead of by
-  /// arrival index. A session's terminal-slot CAS traffic then stays inside
-  /// its own word range of the claim bitsets — with a pinned pool, inside
-  /// its own cache domain. Off preserves the arrival-order partition.
-  bool home_sessions = false;
+  /// Batched plane: requests one drain() admits (0 = the whole queue).
+  std::size_t epoch_window = 0;
+  /// Batched plane: a submit() that finds this many requests queued is
+  /// Refused (0 = unbounded).
+  std::size_t max_queue = 0;
   /// Per-class SLA deadlines in seconds (0 = that class carries no SLA). A
   /// served call whose setup latency exceeds its class deadline counts into
   /// ClassStats::sla_violations. Deadlines index by ops::qos_class().
@@ -304,14 +291,12 @@ class Exchange {
   /// Callback flavour: `done` is invoked with the Outcome instead of
   /// storing it for poll().
   Ticket submit(const CallRequest& req, CompletionFn done);
-  /// Runs one admission epoch: admits up to the policy window (highest
+  /// Runs one admission epoch: admits up to epoch_window requests (highest
   /// priority first, FIFO among equals), routes the batch across all
   /// sessions on util::ThreadPool::global(), delivers completions. Returns
   /// the number of requests admitted.
   std::size_t drain();
-  /// Drains until the queue is empty. Stops early (returning the total
-  /// admitted) if the policy ever yields a zero window on a non-empty
-  /// queue, so a misconfigured policy cannot spin forever.
+  /// Drains until the queue is empty; returns the total admitted.
   std::size_t drain_all();
   /// Takes the completed Outcome for `ticket` (once); nullopt if the
   /// request is still queued, was delivered via callback, or was already
@@ -346,7 +331,9 @@ class Exchange {
   // crossed it AGAINST its direction (the weld conducts both ways; a normal
   // switch does not) lose their conductor and are torn down + re-admitted
   // exactly like open-failure victims. All operations are idempotent per
-  // switch state and count into ExchangeStats.
+  // switch state and count into ExchangeStats. A switch id out of range
+  // touches nothing: the impact comes back empty and handle_errors counts
+  // it.
   FaultImpact inject(const fault::FaultEvent& ev);
   FaultImpact repair(const fault::FaultEvent& ev);
   /// Dispatches on ev.kind — the one-liner consumers of a FaultSchedule use.
@@ -403,11 +390,6 @@ class Exchange {
   // ------------------------------------------------------- introspection
   [[nodiscard]] unsigned sessions() const noexcept {
     return router_->worker_count();
-  }
-  /// Pinning policy in effect on the global pool after construction (post
-  /// auto-degrade); kNone when the config did not request pinning.
-  [[nodiscard]] util::AffinityPolicy affinity() const noexcept {
-    return affinity_;
   }
   [[nodiscard]] const graph::Network& network() const noexcept { return *net_; }
   [[nodiscard]] bool input_idle(std::uint32_t in) const {
@@ -479,6 +461,9 @@ class Exchange {
   Outcome route_one(const CallRequest& req, unsigned session,
                     std::uint32_t deferrals);
   Ticket submit_impl(const CallRequest& req, CompletionFn done);
+  /// True iff `e` names a switch of the network; an out-of-range id is
+  /// counted in handle_errors (the fault plane then touches nothing).
+  bool switch_in_range(graph::EdgeId e);
   /// Sizes the fault-plane bookkeeping on the first event (off hot paths).
   void ensure_fault_state();
   /// True iff every component of `path` is still alive (vertices against
@@ -505,11 +490,10 @@ class Exchange {
   std::unique_ptr<graph::Network> owned_net_;  // set only for the owning ctor
   const graph::Network* net_;
   std::unique_ptr<core::Router> router_;  // pinned, so held by pointer
-  std::unique_ptr<AdmissionPolicy> admission_;
-  bool home_sessions_ = false;
+  std::size_t epoch_window_ = 0;  // 0 = the whole queue
+  std::size_t max_queue_ = 0;     // 0 = unbounded
   bool qos_immediate_ = false;
   std::array<double, ops::kQosClasses> class_deadlines_{};
-  util::AffinityPolicy affinity_ = util::AffinityPolicy::kNone;
   std::uint32_t id_;  // process-unique, tagged into every CallId
   std::vector<Session> sessions_;
 
@@ -521,10 +505,6 @@ class Exchange {
   Ticket next_ticket_ = 1;
   std::uint64_t submitted_ = 0, admitted_ = 0, completed_count_ = 0,
                 deferred_ = 0, refused_ = 0, epochs_ = 0, queue_high_water_ = 0;
-  // Previous epoch's router feedback for the admission policy.
-  std::size_t last_admitted_ = 0;
-  std::uint64_t last_conflicts_ = 0, last_contention_ = 0, last_overlay_ = 0;
-  double last_epoch_seconds_ = 0.0;
   // Batched-plane QoS book (guarded by front_mu_, like the queue counters).
   ops::ClassBook batched_classes_{};
   // Fault-plane bookkeeping (same single-owner contract as the sessions;

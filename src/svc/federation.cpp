@@ -30,7 +30,6 @@ Federation::Federation(const graph::Network& member_net, unsigned shards,
   for (unsigned s = 0; s < shards; ++s) {
     ExchangeConfig ec;
     ec.sessions = cfg.sessions;
-    if (cfg.member_admission) ec.admission = cfg.member_admission();
     members_.push_back(std::make_unique<Exchange>(member_net, std::move(ec)));
   }
   out_peers_.resize(shards);
@@ -516,6 +515,12 @@ TrunkFaultImpact Federation::repair_trunk(std::uint32_t group,
   return imp;
 }
 
+bool Federation::shard_in_range(unsigned shard) {
+  if (shard < members_.size()) return true;
+  ++handle_errors_;
+  return false;
+}
+
 void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
   const FaultImpact& mi = out.member;
   std::vector<std::uint32_t> torn;
@@ -588,6 +593,8 @@ void Federation::reconcile_member_impact(unsigned shard, FedFaultImpact& out) {
 
 FedFaultImpact Federation::inject(unsigned shard, const fault::FaultEvent& ev) {
   FedFaultImpact out;
+  out.member.event = ev;
+  if (!shard_in_range(shard)) return out;
   out.member = members_[shard]->inject(ev);
   reconcile_member_impact(shard, out);
   return out;
@@ -597,6 +604,8 @@ FedFaultImpact Federation::repair(unsigned shard, const fault::FaultEvent& ev) {
   // A repair can kill too: un-welding a stuck-on switch tears down calls
   // that crossed it against its direction. Same reconciliation.
   FedFaultImpact out;
+  out.member.event = ev;
+  if (!shard_in_range(shard)) return out;
   out.member = members_[shard]->repair(ev);
   reconcile_member_impact(shard, out);
   return out;

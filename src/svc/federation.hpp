@@ -4,10 +4,9 @@
 // The paper's recursive construction legalizes this layer: a network of
 // strictly-nonblocking exchanges, joined by dedicated links, is itself a
 // switching network. Federation is the service-level expression of that
-// recursion — terminals are sharded across member exchanges (the same
-// contiguous-range map as ExchangeConfig::home_sessions uses for sessions:
-// global terminal g lives on shard g / S at local index g % S), and a call
-// either stays inside one member or crosses a trunk:
+// recursion — terminals are sharded across member exchanges by contiguous
+// ranges (global terminal g lives on shard g / S at local index g % S), and
+// a call either stays inside one member or crosses a trunk:
 //
 //   - INTRA-SHARD (the hot path): shard(in) == shard(out). The request is
 //     delegated verbatim to the home member — two integer divisions and a
@@ -115,7 +114,8 @@ struct FederationStats {
   std::uint64_t reroute_succeeded = 0;  // end-to-end re-admissions carried
   std::uint64_t reroute_failed = 0;
   std::uint64_t handle_errors = 0;  // federation-level misuse (null/foreign/
-                                    // stale federation handles)
+                                    // stale federation handles, fault ops
+                                    // on an out-of-range shard)
 
   FederationStats& operator+=(const FederationStats& o) noexcept {
     members += o.members;
@@ -254,8 +254,6 @@ struct FederationConfig {
   /// Parallel trunk groups per ordered peer pair (>1 exercises the
   /// least-loaded group tiebreak; capacity is dealt round-robin).
   std::uint32_t groups_per_peer = 1;
-  /// Factory for each member's admission policy; null = UnboundedAdmission.
-  std::function<std::unique_ptr<AdmissionPolicy>()> member_admission;
 };
 
 class Federation {
@@ -334,7 +332,9 @@ class Federation {
   TrunkFaultImpact fail_trunk(std::uint32_t group, std::uint32_t line);
   /// Restores a failed line to the claimable pool.
   TrunkFaultImpact repair_trunk(std::uint32_t group, std::uint32_t line);
-  /// Member fault, federation-reconciled (see file comment).
+  /// Member fault, federation-reconciled (see file comment). A shard out of
+  /// range touches nothing: the impact comes back empty and handle_errors
+  /// counts it.
   FedFaultImpact inject(unsigned shard, const fault::FaultEvent& ev);
   FedFaultImpact repair(unsigned shard, const fault::FaultEvent& ev);
 
@@ -414,6 +414,9 @@ class Federation {
   /// `failed`.
   FedOutcome readmit(const CallRequest& req, std::uint64_t& succeeded,
                      std::uint64_t& failed);
+  /// True iff `shard` names a member; an out-of-range shard is counted in
+  /// handle_errors (the fault op then touches nothing).
+  bool shard_in_range(unsigned shard);
   /// Shared half-call reconciliation behind inject()/repair().
   void reconcile_member_impact(unsigned shard, FedFaultImpact& out);
   void deliver(FedPending&& p, const FedOutcome& o);

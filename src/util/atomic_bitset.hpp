@@ -30,6 +30,12 @@
 
 namespace ftcs::util {
 
+/// Alignment for hot concurrent state. 64 bytes covers x86 and most arm64;
+/// we deliberately do not use std::hardware_destructive_interference_size
+/// because its value may differ between TUs compiled with different tuning
+/// flags, changing struct layout across the ABI.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
 class AtomicBitset {
  public:
   /// Word placement: kDense packs words back to back; kCacheLine gives each

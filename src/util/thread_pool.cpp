@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/atomic_bitset.hpp"
 #include "util/parallel.hpp"
 
 namespace ftcs::util {
@@ -53,22 +54,7 @@ struct ThreadPool::Impl {
   std::atomic<bool> stop{false};
   PaddedCounter spray;  // round-robin cursor for submissions
 
-  // Affinity plan. pin_plan/home_node/policy are guarded by park_m;
-  // pin_epoch bumps publish a new plan and wake parked workers, each worker
-  // self-pins at the top of its loop and acks, and the applier blocks until
-  // every worker has acked — so when apply_affinity() returns, all workers
-  // run on their planned cpus and later allocations first-touch there.
-  std::vector<unsigned> pin_plan;  // cpu per worker; empty = unpinned
-  std::vector<int> home_node;     // node per worker; -1 = unpinned
-  AffinityPolicy policy{AffinityPolicy::kNone};
-  std::atomic<std::uint64_t> pin_epoch{0};
-  std::atomic<std::size_t> pin_acks{0};
-  std::mutex ack_m;
-  std::condition_variable ack_cv;
-
-  explicit Impl(unsigned threads)
-      : queues(threads == 0 ? 1 : threads),
-        home_node(threads, -1) {
+  explicit Impl(unsigned threads) : queues(threads == 0 ? 1 : threads) {
     workers.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)
       workers.emplace_back([this, t] { worker_loop(t); });
@@ -144,78 +130,24 @@ struct ThreadPool::Impl {
     return false;
   }
 
-  /// Self-pins worker `w` when a new plan has been published. Runs on the
-  /// worker thread so anything the worker allocates afterwards first-touch
-  /// lands on the pinned cpu's node.
-  void maybe_repin(unsigned w, std::uint64_t& applied) {
-    const std::uint64_t e = pin_epoch.load(std::memory_order_acquire);
-    if (e == applied) return;
-    bool pinned = false;
-    unsigned cpu = 0;
-    {
-      std::lock_guard<std::mutex> lk(park_m);
-      if (w < pin_plan.size()) {
-        pinned = true;
-        cpu = pin_plan[w];
-      }
-    }
-    if (pinned)
-      pin_current_thread(cpu);
-    else
-      unpin_current_thread();
-    applied = e;
-    pin_acks.fetch_add(1, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lk(ack_m);  // pairs with applier's wait
-    }
-    ack_cv.notify_all();
-  }
-
   void worker_loop(unsigned w) {
     t_inside_pool_worker = true;
-    std::uint64_t applied_epoch = 0;
     Task task;
     while (true) {
-      maybe_repin(w, applied_epoch);
       if (find_task(w, task)) {
         execute(task);
         task.batch.reset();
         continue;
       }
       std::unique_lock<std::mutex> lk(park_m);
-      park_cv.wait(lk, [this, applied_epoch] {
+      park_cv.wait(lk, [this] {
         return stop.load(std::memory_order_acquire) ||
-               pending.v.load(std::memory_order_acquire) > 0 ||
-               pin_epoch.load(std::memory_order_acquire) != applied_epoch;
+               pending.v.load(std::memory_order_acquire) > 0;
       });
       if (stop.load(std::memory_order_acquire) &&
           pending.v.load(std::memory_order_acquire) == 0)
         return;
     }
-  }
-
-  AffinityPolicy apply_affinity(AffinityPolicy requested,
-                                const CpuTopology& topo) {
-    std::vector<unsigned> plan = plan_affinity(
-        topo, static_cast<unsigned>(workers.size()), requested);
-    const AffinityPolicy effective =
-        plan.empty() ? AffinityPolicy::kNone : requested;
-    {
-      std::lock_guard<std::mutex> lk(park_m);
-      pin_plan = std::move(plan);
-      home_node.assign(workers.size(), -1);
-      for (std::size_t w = 0; w < pin_plan.size(); ++w)
-        home_node[w] = topo.node_of(pin_plan[w]);
-      policy = effective;
-      pin_acks.store(0, std::memory_order_relaxed);
-      pin_epoch.fetch_add(1, std::memory_order_release);
-    }
-    park_cv.notify_all();
-    std::unique_lock<std::mutex> lk(ack_m);
-    ack_cv.wait(lk, [this] {
-      return pin_acks.load(std::memory_order_acquire) >= workers.size();
-    });
-    return effective;
   }
 
   void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
@@ -284,26 +216,6 @@ unsigned ThreadPool::thread_count() const noexcept {
 void ThreadPool::run(std::size_t count,
                      const std::function<void(std::size_t)>& task) {
   impl_->run(count, task);
-}
-
-AffinityPolicy ThreadPool::apply_affinity(AffinityPolicy policy) {
-  return apply_affinity(policy, CpuTopology::discover());
-}
-
-AffinityPolicy ThreadPool::apply_affinity(AffinityPolicy policy,
-                                          const CpuTopology& topo) {
-  return impl_->apply_affinity(policy, topo);
-}
-
-AffinityPolicy ThreadPool::affinity() const {
-  std::lock_guard<std::mutex> lk(impl_->park_m);
-  return impl_->policy;
-}
-
-int ThreadPool::worker_node(unsigned w) const {
-  std::lock_guard<std::mutex> lk(impl_->park_m);
-  if (w >= impl_->home_node.size()) return -1;
-  return impl_->home_node[w];
 }
 
 }  // namespace ftcs::util

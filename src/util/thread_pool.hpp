@@ -21,22 +21,11 @@
 // Determinism: run(n, task) promises nothing about which thread executes
 // which index — callers needing reproducible results must key all state on
 // the task index (the parallel_* wrappers' contract already requires this).
-//
-// Affinity: apply_affinity(policy) plans one cpu per worker over the
-// discovered topology (util/cpu_topology.hpp) and has each worker pin
-// ITSELF between batches — pinning on the worker thread means any memory
-// the worker touches afterwards (lazily built router scratch, deque nodes)
-// is first-touch allocated on the pinned cpu's node. The call returns the
-// policy actually in effect: it degrades to kNone whenever the plan is
-// unsatisfiable (more workers than physical cores, non-Linux platform), so
-// 1-2 core CI runners transparently run unpinned.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-
-#include "util/cpu_topology.hpp"
 
 namespace ftcs::util {
 
@@ -60,20 +49,6 @@ class ThreadPool {
   /// The caller helps execute. Safe to call concurrently from multiple
   /// external threads; re-entrant calls from pool workers run inline.
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
-
-  /// Pins live workers per `policy` over the host topology (or an explicit
-  /// one, for tests). Blocks until every worker has re-pinned. Returns the
-  /// policy actually in effect — kNone when the plan degenerates (see
-  /// plan_affinity). Passing kNone unpins all workers.
-  AffinityPolicy apply_affinity(AffinityPolicy policy);
-  AffinityPolicy apply_affinity(AffinityPolicy policy, const CpuTopology& topo);
-
-  /// Policy currently in effect (post-degrade).
-  [[nodiscard]] AffinityPolicy affinity() const;
-
-  /// Home NUMA node of worker `w` under the current pin plan, or -1 when
-  /// the worker is unpinned / out of range.
-  [[nodiscard]] int worker_node(unsigned w) const;
 
  private:
   struct Impl;

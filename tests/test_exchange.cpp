@@ -14,7 +14,6 @@
 #include "networks/cantor.hpp"
 #include "networks/clos.hpp"
 #include "networks/crossbar.hpp"
-#include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
 
@@ -165,8 +164,7 @@ TEST(Exchange, GreedyBackendClampsToOneSession) {
 
 // An out-of-range terminal index is a typed misuse on both planes: it is
 // rejected kBadSession before the router sees it, counted in handle_errors,
-// and no busy state or call moves. With two homed sessions the drain also
-// places the bad input in a session's chunk before rejecting it.
+// and no busy state or call moves.
 TEST(Exchange, OutOfRangeTerminalIsTypedError) {
   const auto net = networks::build_cantor({5, 0});
   const auto n = static_cast<std::uint32_t>(net.inputs.size());
@@ -174,9 +172,7 @@ TEST(Exchange, OutOfRangeTerminalIsTypedError) {
       {n + 100000, 0}, {0, n + 100000}, {n, 2}, {2, n}};
   for (const unsigned sessions : {1u, 2u}) {
     SCOPED_TRACE(sessions);
-    ExchangeConfig cfg = sessions_cfg(sessions);
-    cfg.home_sessions = sessions > 1;
-    Exchange ex(net, std::move(cfg));
+    Exchange ex(net, sessions_cfg(sessions));
     const Outcome held = ex.call({1, 1});
     ASSERT_TRUE(held.connected());
     const std::size_t busy_before = ex.busy_vertices();
@@ -275,14 +271,14 @@ void expect_drain_matches_call(std::size_t window) {
       }
     }
 
-    const auto make = [&](bool bounded) {
+    const auto make = [&](std::size_t epoch_window) {
       ExchangeConfig cfg;
       cfg.blocked_edges = c.blocked_edges;
-      if (bounded) cfg.admission = std::make_unique<FixedWindowAdmission>(window);
+      cfg.epoch_window = epoch_window;
       return cfg;
     };
-    Exchange immediate(c.net, make(false));
-    Exchange batched(c.net, make(window > 0));
+    Exchange immediate(c.net, make(0));
+    Exchange batched(c.net, make(window));
     std::vector<Ticket> tickets;
     for (const CallRequest& r : reqs) tickets.push_back(batched.submit(r));
     EXPECT_EQ(batched.pending(), reqs.size());
@@ -346,7 +342,7 @@ TEST(Exchange, BatchedFixedWindowMatchesImmediateInAdmissionOrder) {
 TEST(Exchange, FixedWindowDefersBeyondTheWindow) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(4);
+  cfg.epoch_window = 4;
   Exchange ex(net, std::move(cfg));
   std::vector<Ticket> tickets;
   for (std::uint32_t i = 0; i < 10; ++i)
@@ -370,7 +366,8 @@ TEST(Exchange, FixedWindowDefersBeyondTheWindow) {
 TEST(Exchange, OverloadRefusesAtTheQueueCap) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg = sessions_cfg(2);
-  cfg.admission = std::make_unique<FixedWindowAdmission>(2, /*max_queue=*/4);
+  cfg.epoch_window = 2;
+  cfg.max_queue = 4;
   Exchange ex(net, std::move(cfg));
   std::vector<Ticket> tickets;
   for (std::uint32_t i = 0; i < 7; ++i)
@@ -404,7 +401,7 @@ TEST(Exchange, OverloadRefusesAtTheQueueCap) {
 TEST(Exchange, PriorityClassesAdmittedFirst) {
   const auto net = networks::build_crossbar(16);
   ExchangeConfig cfg;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(2);
+  cfg.epoch_window = 2;
   Exchange ex(net, std::move(cfg));
   const Ticket t0 = ex.submit({0, 0, /*priority=*/0});
   const Ticket t1 = ex.submit({1, 1, /*priority=*/5});
@@ -419,17 +416,6 @@ TEST(Exchange, PriorityClassesAdmittedFirst) {
   EXPECT_EQ(ex.drain(), 2u);
   ASSERT_TRUE(ex.poll(t2).has_value());
   ASSERT_TRUE(ex.poll(t0).has_value());
-}
-
-TEST(Exchange, ZeroWindowPolicyDoesNotSpin) {
-  const auto net = networks::build_crossbar(4);
-  ExchangeConfig cfg;
-  cfg.admission = std::make_unique<FixedWindowAdmission>(0);
-  Exchange ex(net, std::move(cfg));
-  ex.submit({0, 0});
-  EXPECT_EQ(ex.drain(), 0u);
-  EXPECT_EQ(ex.drain_all(), 0u);  // gives up instead of spinning
-  EXPECT_EQ(ex.pending(), 1u);
 }
 
 TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
@@ -459,36 +445,6 @@ TEST(Exchange, AsyncCompletionCallbacksAcrossSessions) {
   EXPECT_GT(connected, 0u);
   EXPECT_EQ(ex.busy_vertices(), 0u);
   EXPECT_EQ(ex.stats().completed, 64u);
-}
-
-TEST(ConflictAdaptiveAdmission, AimdWindowTracksConflictRate) {
-  ConflictAdaptiveAdmission policy(64, 8, 256, 0.10, 0.02);
-  EpochFeedback fb;
-  fb.queued = 10'000;
-  // First epoch: no feedback yet, initial window.
-  EXPECT_EQ(policy.epoch_window(fb), 64u);
-  // Clean epoch (no conflicts): additive growth.
-  fb.admitted_last = 64;
-  fb.claim_conflicts_last = 0;
-  EXPECT_EQ(policy.epoch_window(fb), 80u);
-  // Contended epoch (25% conflict rate): halve.
-  fb.admitted_last = 80;
-  fb.claim_conflicts_last = 20;
-  EXPECT_EQ(policy.epoch_window(fb), 40u);
-  // A retry-budget rejection always halves, whatever the rate.
-  fb.admitted_last = 40;
-  fb.claim_conflicts_last = 0;
-  fb.rejected_contention_last = 1;
-  EXPECT_EQ(policy.epoch_window(fb), 20u);
-  // Bounds hold.
-  fb.rejected_contention_last = 100;
-  for (int i = 0; i < 10; ++i) (void)policy.epoch_window(fb);
-  EXPECT_EQ(policy.current_window(), 8u);
-  fb.rejected_contention_last = 0;
-  fb.claim_conflicts_last = 0;
-  fb.admitted_last = 8;
-  for (int i = 0; i < 40; ++i) (void)policy.epoch_window(fb);
-  EXPECT_EQ(policy.current_window(), 256u);
 }
 
 TEST(ExchangeStats, MergeAndDelta) {

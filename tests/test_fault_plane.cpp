@@ -27,7 +27,6 @@
 #include "ftcs/traffic.hpp"
 #include "networks/cantor.hpp"
 #include "networks/crossbar.hpp"
-#include "svc/admission.hpp"
 #include "svc/exchange.hpp"
 #include "util/prng.hpp"
 
@@ -782,25 +781,94 @@ TEST(ExchangeFaultPlane, RepairOfAWeldSeversReverseCrossersOnly) {
   }
 }
 
-TEST(ExchangeFaultPlane, ZeroWindowPolicyLeavesVictimsQueuedAsRefused) {
+TEST(ExchangeFaultPlane, QueueCapRefusesVictimsOnTheSpot) {
   const auto net = networks::build_cantor({4, 0});
   svc::ExchangeConfig cfg;
-  cfg.admission = std::make_unique<svc::FixedWindowAdmission>(0);
+  cfg.max_queue = 1;
   svc::Exchange ex(net, std::move(cfg));
   const svc::Outcome o = ex.call({0, 1, 0, /*tag=*/5});
   ASSERT_TRUE(o.connected());
+  const svc::Ticket queued = ex.submit({2, 3, 0, /*tag=*/6});
   const auto path = ex.path_of(o.id);
   fault::FaultEvent ev;
   ev.edge = edge_between(net.g, path[0], path[1]);
-  // The kill succeeds; re-admission cannot drain (zero window), so the
-  // victim's submission is CANCELLED and reported kRefused — every victim
-  // resolves inside inject(), nothing fires after it returns.
+  // The kill succeeds; the victim's re-admission meets the full queue and
+  // is refused on the spot, and the drain that follows serves the request
+  // already queued — every victim resolves inside inject(), nothing is
+  // left for a later drain.
   const svc::FaultImpact impact = ex.inject(ev);
   ASSERT_EQ(impact.calls_killed(), 1u);
   EXPECT_EQ(impact.reroutes[0].reject, svc::RejectReason::kRefused);
   EXPECT_EQ(impact.reroutes[0].tag, 5u);
   EXPECT_EQ(impact.reroute_failed, 1u);
-  EXPECT_EQ(ex.pending(), 0u);  // cancelled, not left to a later drain
+  EXPECT_EQ(ex.pending(), 0u);
+  const auto served = ex.poll(queued);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->tag, 6u);
+}
+
+// A switch id past the network's last edge is a typed misuse: the impact
+// comes back empty, handle_errors counts it, and no call, switch or vertex
+// state moves. The first id past the end and kNoEdge both bounce, in both
+// failure modes.
+TEST(ExchangeFaultPlane, OutOfRangeSwitchInjectTouchesNothing) {
+  const auto net = networks::build_cantor({4, 0});
+  svc::Exchange ex(net);
+  const svc::Outcome held = ex.call({0, 1, 0, /*tag=*/5});
+  ASSERT_TRUE(held.connected());
+  const std::size_t busy = ex.busy_vertices();
+  std::uint64_t bounced = 0;
+  for (const graph::EdgeId e : {static_cast<graph::EdgeId>(net.g.edge_count()),
+                                graph::kNoEdge}) {
+    for (const auto kind :
+         {fault::FaultEvent::Kind::kFail, fault::FaultEvent::Kind::kStuckOn}) {
+      fault::FaultEvent ev;
+      ev.edge = e;
+      ev.kind = kind;
+      const svc::FaultImpact impact = ex.inject(ev);
+      ++bounced;
+      EXPECT_EQ(impact.event.edge, e);
+      EXPECT_EQ(impact.calls_killed(), 0u);
+      EXPECT_TRUE(impact.reroutes.empty());
+      EXPECT_FALSE(impact.alarm.has_value());
+    }
+  }
+  EXPECT_EQ(ex.failed_switch_count(), 0u);
+  EXPECT_EQ(ex.stuck_switch_count(), 0u);
+  const svc::ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.handle_errors, bounced);
+  EXPECT_EQ(st.faults_injected, 0u);
+  EXPECT_EQ(st.faults_stuck, 0u);
+  EXPECT_EQ(st.calls_killed_by_fault, 0u);
+  EXPECT_EQ(ex.active_calls(), 1u);
+  EXPECT_EQ(ex.busy_vertices(), busy);
+  EXPECT_EQ(ex.hangup(held.id), svc::RejectReason::kNone);
+}
+
+TEST(ExchangeFaultPlane, OutOfRangeSwitchRepairTouchesNothing) {
+  const auto net = networks::build_cantor({4, 0});
+  svc::Exchange ex(net);
+  const svc::Outcome held = ex.call({0, 1, 0, /*tag=*/5});
+  ASSERT_TRUE(held.connected());
+  const std::size_t busy = ex.busy_vertices();
+  std::uint64_t bounced = 0;
+  for (const graph::EdgeId e : {static_cast<graph::EdgeId>(net.g.edge_count()),
+                                graph::kNoEdge}) {
+    fault::FaultEvent ev;
+    ev.edge = e;
+    ev.kind = fault::FaultEvent::Kind::kRepair;
+    const svc::FaultImpact impact = ex.repair(ev);
+    ++bounced;
+    EXPECT_EQ(impact.calls_killed(), 0u);
+    EXPECT_FALSE(impact.alarm.has_value());
+  }
+  EXPECT_EQ(ex.failed_switch_count(), 0u);
+  const svc::ExchangeStats st = ex.stats();
+  EXPECT_EQ(st.handle_errors, bounced);
+  EXPECT_EQ(st.faults_repaired, 0u);
+  EXPECT_EQ(ex.active_calls(), 1u);
+  EXPECT_EQ(ex.busy_vertices(), busy);
+  EXPECT_EQ(ex.hangup(held.id), svc::RejectReason::kNone);
 }
 
 TEST(ExchangeFaultPlane, StatsDeltaCarriesFaultCounters) {
@@ -825,39 +893,6 @@ TEST(ExchangeFaultPlane, StatsDeltaCarriesFaultCounters) {
   EXPECT_EQ(sum.calls_killed_by_fault, 2u);
   EXPECT_EQ(sum.faults_stuck, 1u);
   EXPECT_EQ(sum.faults_repaired, 4u);
-}
-
-// -------------------------------------------------- latency-aware policy
-
-TEST(DeadlineAdmission, WindowTracksEpochDuration) {
-  svc::DeadlineAdmission policy(/*deadline_seconds=*/0.010, /*initial=*/64,
-                                /*min_window=*/8, /*max_window=*/256);
-  svc::EpochFeedback fb;
-  fb.queued = 10'000;
-  // No feedback yet: initial window.
-  EXPECT_EQ(policy.epoch_window(fb), 64u);
-  // Previous epoch overran 2x: window shrinks proportionally in ONE step.
-  fb.admitted_last = 64;
-  fb.last_epoch_seconds = 0.020;
-  EXPECT_EQ(policy.epoch_window(fb), 32u);
-  // Comfortably inside the budget (< half the deadline): additive growth.
-  fb.admitted_last = 32;
-  fb.last_epoch_seconds = 0.002;
-  EXPECT_EQ(policy.epoch_window(fb), 40u);
-  // Between half-deadline and deadline: hold steady.
-  fb.admitted_last = 40;
-  fb.last_epoch_seconds = 0.008;
-  EXPECT_EQ(policy.epoch_window(fb), 40u);
-  // Massive overrun clamps at the floor.
-  fb.last_epoch_seconds = 10.0;
-  EXPECT_EQ(policy.epoch_window(fb), 8u);
-  // Sustained headroom climbs to the ceiling.
-  fb.last_epoch_seconds = 0.001;
-  for (int i = 0; i < 40; ++i) {
-    fb.admitted_last = policy.current_window();
-    (void)policy.epoch_window(fb);
-  }
-  EXPECT_EQ(policy.current_window(), 256u);
 }
 
 // ----------------------------------------------- traffic with live faults

@@ -526,6 +526,46 @@ TEST(FederationFaults, MemberFaultAdoptsReroutedHalf) {
   EXPECT_EQ(total_occupancy(fed), 0u);
 }
 
+// A member fault aimed at a shard the federation does not have is a typed
+// misuse: nothing is forwarded (no member, shard 0 included, loses a
+// switch), the impact comes back empty and handle_errors counts it.
+void expect_out_of_range_shard_touches_nothing(bool inject) {
+  const auto net = networks::build_cantor({4, 0});
+  Federation fed(net, 2, fed_cfg(1));
+  const FedOutcome o = fed.call(
+      {fed.global_of(0, 2), fed.global_of(1, 2), 0, 77});
+  ASSERT_TRUE(o.connected());
+  const std::size_t busy = fed.busy_vertices();
+  for (const unsigned shard : {2u, 7u}) {
+    fault::FaultEvent ev;
+    ev.edge = 0;
+    ev.kind = inject ? fault::FaultEvent::Kind::kFail
+                     : fault::FaultEvent::Kind::kRepair;
+    const FedFaultImpact imp = inject ? fed.inject(shard, ev)
+                                      : fed.repair(shard, ev);
+    EXPECT_EQ(imp.member.calls_killed(), 0u);
+    EXPECT_TRUE(imp.killed.empty());
+    EXPECT_EQ(imp.halves_hit, 0u);
+  }
+  for (unsigned m = 0; m < fed.shards(); ++m)
+    EXPECT_EQ(fed.member(m).failed_switch_count(), 0u) << "member " << m;
+  const FederationStats st = fed.stats();
+  EXPECT_EQ(st.handle_errors, 2u);
+  EXPECT_EQ(st.members.faults_injected + st.members.faults_repaired, 0u);
+  EXPECT_EQ(fed.active_inter_calls(), 1u);
+  EXPECT_EQ(fed.busy_vertices(), busy);
+  EXPECT_EQ(fed.hangup(o.id), RejectReason::kNone);
+  EXPECT_EQ(fed.busy_vertices(), 0u);
+}
+
+TEST(FederationFaults, OutOfRangeShardInjectTouchesNothing) {
+  expect_out_of_range_shard_touches_nothing(/*inject=*/true);
+}
+
+TEST(FederationFaults, OutOfRangeShardRepairTouchesNothing) {
+  expect_out_of_range_shard_touches_nothing(/*inject=*/false);
+}
+
 TEST(FederationFaults, MemberFaultTearsDownMateWhenHalfUncarried) {
   const auto net = networks::build_cantor({4, 0});
   Federation fed(net, 2, fed_cfg(1));

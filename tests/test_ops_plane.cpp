@@ -227,6 +227,76 @@ TEST(ControlPlane, ExecutesEveryCommandKindWithTypedAcks) {
             std::string::npos);
 }
 
+// Commands whose target is out of range ack kBadTarget with a reason and
+// touch nothing: no shard is substituted for a bad one, and a bad trunk
+// group or line is not mistaken for an idempotent repeat (kNoop).
+TEST(ControlPlane, OutOfRangeShardAcksBadTarget) {
+  const auto net = networks::build_cantor({4, 0});
+  svc::Federation fed(net, 2);
+  ops::ControlPlane control(fed);
+  auto& q = control.queue();
+  const auto t_inject =
+      q.post({ops::CommandKind::kInject, {0.0, 0, FaultEvent::Kind::kFail}, 7});
+  const auto t_repair = q.post(
+      {ops::CommandKind::kRepair, {0.0, 0, FaultEvent::Kind::kRepair}, 2});
+  EXPECT_EQ(control.pump(), 2u);
+  for (const auto t : {t_inject, t_repair}) {
+    const auto a = q.wait(t);
+    EXPECT_EQ(a.status, ops::AckStatus::kBadTarget);
+    EXPECT_NE(a.text.find("shard"), std::string::npos) << a.text;
+    EXPECT_EQ(a.failed_switches, 0u);
+  }
+  for (unsigned m = 0; m < fed.shards(); ++m)
+    EXPECT_EQ(fed.member(m).failed_switch_count(), 0u) << "member " << m;
+}
+
+TEST(ControlPlane, OutOfRangeSwitchAcksBadTarget) {
+  const auto net = networks::build_cantor({4, 0});
+  svc::Exchange ex(net);
+  svc::Federation fed(net, 2);
+  ops::ControlPlane solo(ex), federated(fed);
+  const auto bad = static_cast<graph::EdgeId>(net.g.edge_count());
+  for (ops::ControlPlane* plane : {&solo, &federated}) {
+    auto& q = plane->queue();
+    const auto t = q.post(
+        {ops::CommandKind::kInject, {0.0, bad, FaultEvent::Kind::kFail}, 1});
+    EXPECT_EQ(plane->pump(), 1u);
+    const auto a = q.wait(t);
+    EXPECT_EQ(a.status, ops::AckStatus::kBadTarget);
+    EXPECT_NE(a.text.find("switch"), std::string::npos) << a.text;
+  }
+  EXPECT_EQ(ex.failed_switch_count(), 0u);
+  EXPECT_EQ(ex.stats().handle_errors, 0u);  // the plane never forwarded it
+  for (unsigned m = 0; m < fed.shards(); ++m)
+    EXPECT_EQ(fed.member(m).failed_switch_count(), 0u) << "member " << m;
+}
+
+TEST(ControlPlane, OutOfRangeTrunkAcksBadTarget) {
+  const auto net = networks::build_cantor({4, 0});
+  svc::Federation fed(net, 2);
+  ops::ControlPlane control(fed);
+  ASSERT_GT(fed.trunk_group_count(), 0u);
+  const std::uint32_t groups = fed.trunk_group_count();
+  const std::uint32_t lines = fed.trunk_group(0).capacity();
+  auto& q = control.queue();
+  std::vector<ops::CmdTicket> tickets;
+  for (const auto kind :
+       {ops::CommandKind::kTrunkFault, ops::CommandKind::kTrunkRepair}) {
+    tickets.push_back(q.post({kind, {}, groups, 0}));
+    tickets.push_back(q.post({kind, {}, 0, lines}));
+  }
+  EXPECT_EQ(control.pump(), tickets.size());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const auto a = q.wait(tickets[i]);
+    EXPECT_EQ(a.status, ops::AckStatus::kBadTarget);
+    EXPECT_NE(a.text.find(i % 2 == 0 ? "trunk group" : "trunk line"),
+              std::string::npos)
+        << a.text;
+  }
+  for (std::uint32_t g = 0; g < groups; ++g)
+    EXPECT_EQ(fed.trunk_group(g).usable(), fed.trunk_group(g).capacity());
+}
+
 TEST(MetricsRegistry, DeltasBetweenScrapesAndBothFormats) {
   const auto net = networks::build_crossbar(4);
   svc::Exchange ex(net);

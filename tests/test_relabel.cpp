@@ -20,9 +20,7 @@
 #include "graph/digraph.hpp"
 #include "networks/cantor.hpp"
 #include "svc/exchange.hpp"
-#include "util/cpu_topology.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftcs {
 namespace {
@@ -292,66 +290,6 @@ TEST(Relabel, ExchangeDrainOutcomesMatch) {
   // Hangups on handles the fault plane retired ack as kFaulted on both.
   for (std::size_t i = 0; i < live_a.size(); ++i)
     EXPECT_EQ(ex_a->hangup(live_a[i]), ex_b->hangup(live_b[i]));
-}
-
-TEST(Relabel, HomedDrainRoutesByInputRange) {
-  const auto hot = graph::relabel_locality(networks::build_cantor({4, 0}));
-  const auto n = static_cast<std::uint32_t>(hot.inputs.size());
-  constexpr unsigned kSessions = 4;
-
-  svc::ExchangeConfig cfg;
-  cfg.sessions = kSessions;
-  cfg.home_sessions = true;
-  svc::Exchange ex(hot, std::move(cfg));
-  ASSERT_EQ(ex.sessions(), kSessions);
-
-  std::vector<std::pair<std::uint32_t, svc::Ticket>> tickets;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    svc::CallRequest req;
-    req.input = i;
-    req.output = i;
-    tickets.emplace_back(i, ex.submit(req));
-  }
-  ASSERT_GT(ex.drain_all(), 0u);
-  for (const auto& [input, ticket] : tickets) {
-    const auto o = ex.poll(ticket);
-    ASSERT_TRUE(o.has_value());
-    // Every outcome — served or rejected — is produced by the session that
-    // owns the request's input-terminal range.
-    const auto home = std::min<std::uint32_t>(
-        input * kSessions / n, kSessions - 1);
-    EXPECT_EQ(o->session, home) << "input " << input;
-  }
-}
-
-TEST(Relabel, ExchangeAffinityMatchesPlanOutcome) {
-  const auto hot = graph::relabel_locality(networks::build_cantor({3, 0}));
-  svc::ExchangeConfig cfg;
-  cfg.sessions = 2;
-  cfg.affinity = util::AffinityPolicy::kSpread;
-  svc::Exchange ex(hot, std::move(cfg));
-
-  // The Exchange must report exactly what plan_affinity decided for this
-  // host's real topology — degrade to kNone on small boxes, kSpread where
-  // the plan fits.
-  const auto topo = util::CpuTopology::discover();
-  const auto plan =
-      util::plan_affinity(topo, util::ThreadPool::global().thread_count(),
-                          util::AffinityPolicy::kSpread);
-  const auto expected = plan.empty() ? util::AffinityPolicy::kNone
-                                     : util::AffinityPolicy::kSpread;
-  EXPECT_EQ(ex.affinity(), expected);
-  EXPECT_EQ(util::ThreadPool::global().affinity(), expected);
-
-  // The pool still drains correctly under the applied policy.
-  svc::CallRequest req;
-  (void)ex.submit(req);
-  EXPECT_EQ(ex.drain_all(), 1u);
-
-  // Restore the process-wide pool for the rest of the test binary.
-  util::ThreadPool::global().apply_affinity(util::AffinityPolicy::kNone);
-  EXPECT_EQ(util::ThreadPool::global().affinity(),
-            util::AffinityPolicy::kNone);
 }
 
 }  // namespace

@@ -19,13 +19,9 @@ Series keyed so runs with different sweeps still match up:
   - the deep-network batched point  (batched_admission_k7.points[].batch)
   - the degraded-mode series        (degraded_mode.points[].eps)
   - the locality-relabel pairs      (relabel.points[].network + .mode)
-  - the affinity sweep              (affinity_scaling.points[].policy —
-                                     keyed by the REQUESTED policy, so
-                                     baselines from hosts that degraded to
-                                     "none" still line up)
-  - the admission-policy A/B        (admission_policy.points[].policy —
-                                     static vs overlay-aware under the
-                                     bursty fault storm)
+  - the admission-policy series     (admission_policy.points[].policy —
+                                     the fixed window under the bursty
+                                     fault storm)
   - the hitless-growth series       (growth.points[].phase — churn rate
                                      before/during/after doubling the
                                      exchange live; `during` also carries
@@ -106,8 +102,6 @@ def series_points(doc: dict, metric: str) -> dict[str, float]:
           lambda p: f"faults/eps={p['eps']:g}")
     keyed(doc.get("relabel", {}).get("points", []), "relabel",
           lambda p: f"relabel/{p['network']}/{p['mode']}")
-    keyed(doc.get("affinity_scaling", {}).get("points", []),
-          "affinity_scaling", lambda p: f"affinity/{p['policy']}")
     keyed(doc.get("admission_policy", {}).get("points", []),
           "admission_policy", lambda p: f"policy/{p['policy']}")
     keyed(doc.get("growth", {}).get("points", []), "growth",
@@ -282,10 +276,6 @@ def self_test() -> int:
             {"network": "n1", "mode": "locality", "calls_per_sec": 140,
              "visits_per_connect": 10.0},
         ]},
-        "affinity_scaling": {"points": [
-            {"policy": "spread", "effective": "none", "calls_per_sec": 120,
-             "visits_per_connect": 8.0},
-        ]},
         "admission_policy": {"points": [
             {"policy": "static", "calls_per_sec": 90, "hard_rejects": 50},
             {"policy": "overlay", "calls_per_sec": 95, "hard_rejects": 12},
@@ -317,7 +307,7 @@ def self_test() -> int:
     pts = series_points(doc, "calls_per_sec")
     expect = {"aggregate": 1000.0, "churn/n1": 100.0, "threads/2": 150.0,
               "relabel/n1/none": 100.0, "relabel/n1/locality": 140.0,
-              "affinity/spread": 120.0, "policy/static": 90.0,
+              "policy/static": 90.0,
               "policy/overlay": 95.0,
               "growth/before": 200.0, "growth/during": 110.0,
               "growth/after": 120.0,
